@@ -55,8 +55,8 @@ func (w *WALI) observeSnapOp(kind obs.Kind, hist string, pid int32, dur time.Dur
 	}
 }
 
-// installCowObserver hooks a restored copy-on-write memory so page
-// materializations are counted and traced. The hook rides the
+// installCowObserver hooks a restored or forked copy-on-write memory so
+// page materializations are counted and traced. The hook rides the
 // materialize slow path only; the per-access CoW barrier is untouched.
 func (w *WALI) installCowObserver(mem *interp.Memory, pid int32) {
 	if w.Trace == nil && w.Metrics == nil {

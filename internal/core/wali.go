@@ -547,13 +547,20 @@ func (p *Process) forkChild(e *interp.Exec) *Process {
 	cexec.HostCtx = c
 	cexec.Poll = c.pollSignals
 	cinst.HostCtx = c
-	// Budget: the caller (sysFork) reserved the child's initial memory
-	// before cloning (EAGAIN on failure, Linux semantics); descriptor
-	// inheritance was force-charged by FDTable.Clone inside KP.Fork.
+	// Budget: the caller (sysFork) reserved the child's full image
+	// before cloning (EAGAIN on failure, Linux semantics), so its
+	// copy-on-write pages are prepaid and only growth charges further;
+	// descriptor inheritance was force-charged by FDTable.Clone inside
+	// KP.Fork.
 	c.Tenant = p.Tenant
 	if p.Tenant != nil {
 		c.charge = newMemCharge(p.Tenant, int64(len(cinst.Mem.Data)))
 		cinst.Mem.Reserve = c.charge.reserve
+	}
+	// Both sides now read a shared image; observe their page copies.
+	p.W.installCowObserver(cinst.Mem, ckp.PID)
+	if p.Inst.Mem.OnCowFault == nil {
+		p.W.installCowObserver(p.Inst.Mem, p.KP.PID)
 	}
 	c.attachTask()
 	p.W.mu.Lock()

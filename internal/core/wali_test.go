@@ -247,38 +247,6 @@ func TestForkWait(t *testing.T) {
 	}
 }
 
-func TestForkMemoryIsolation(t *testing.T) {
-	b := newApp("fork", "wait4", "exit")
-	f := b.NewFunc(StartExport, nil, nil)
-	r := f.Local(wasm.I64)
-	// mem[512] = 11; fork; child: mem[512]=22, exit(mem[512]); parent waits
-	// and exits with its own mem[512] (must still be 11).
-	f.I32Const(512).I32Const(11).Store(wasm.OpI32Store, 0)
-	b.call(f, "fork")
-	f.LocalSet(r)
-	f.LocalGet(r).Op(wasm.OpI64Eqz)
-	f.If()
-	f.I32Const(512).I32Const(22).Store(wasm.OpI32Store, 0)
-	f.I32Const(512).Load(wasm.OpI32Load, 0).Op(wasm.OpI64ExtendI32U)
-	f.Call(b.sys["exit"]).Drop()
-	f.End()
-	b.call(f, "wait4", -1, 0, 0, 0)
-	f.Drop()
-	f.I32Const(512).Load(wasm.OpI32Load, 0).Op(wasm.OpI64ExtendI32U)
-	f.Call(b.sys["exit"]).Drop()
-	f.Finish()
-	// Fork clones resumable interpreter state, so isolation must hold on
-	// both IR-space execution tiers.
-	for _, tier := range []interp.ExecTier{interp.TierFused, interp.TierIR} {
-		t.Run(tier.String(), func(t *testing.T) {
-			_, _, status, err := runAppOn(t, b, nil, nil, tier)
-			if err != nil || status != 11 {
-				t.Fatalf("parent sees %d, want isolated 11 (err %v)", status, err)
-			}
-		})
-	}
-}
-
 func TestSignalHandlerDelivery(t *testing.T) {
 	b := newApp("rt_sigaction", "kill", "getpid", "exit")
 	// Funcref table with the handler at slot 2.

@@ -304,8 +304,10 @@ func (inst *Instance) TableGet(i uint32) int32 {
 	return inst.Table[i]
 }
 
-// Clone deep-copies the instance for fork: memory, globals and table are
-// duplicated; resolved functions (immutable) are shared.
+// Clone duplicates the instance for fork: globals and table are copied,
+// memory is forked copy-on-write (Memory.Fork, which turns the parent's
+// memory into a copy-on-write view too), and resolved functions
+// (immutable) are shared.
 func (inst *Instance) Clone() *Instance {
 	c := &Instance{
 		Module:  inst.Module,
@@ -315,7 +317,7 @@ func (inst *Instance) Clone() *Instance {
 		HostCtx: inst.HostCtx,
 	}
 	if inst.Mem != nil {
-		c.Mem = inst.Mem.Clone()
+		c.Mem = inst.Mem.Fork()
 	}
 	return c
 }

@@ -26,14 +26,14 @@ type Memory struct {
 	// calls it with the byte delta before allocating and fails (-1, which
 	// memory.grow and the embedder's mmap/brk paths surface as ENOMEM)
 	// when it returns false. Installed by the embedder per address space;
-	// Clone deliberately does not copy it (a fork child joins its own
+	// Fork deliberately does not copy it (a fork child joins its own
 	// accounting).
 	Reserve func(delta int64) bool
 
 	// OnCowFault, when set, is called after a copy-on-write page is
 	// materialized (slow path only — the per-access barrier never sees
 	// it). The embedder uses it for observability: counting and tracing
-	// page materializations per guest. Clone does not copy it.
+	// page materializations per guest. Fork does not copy it.
 	OnCowFault func(page int)
 
 	// cow, when non-nil, makes this a copy-on-write view over a frozen
@@ -197,12 +197,6 @@ func (m *Memory) ReadCString(addr uint32, maxLen uint32) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Clone returns a deep copy of the memory; used by fork. A copy-on-write
-// view composes base and overlay into a plain private memory.
-func (m *Memory) Clone() *Memory {
-	return &Memory{Data: m.SnapshotBytes(), MaxLen: m.MaxLen, Shared: m.Shared}
 }
 
 // Concurrent reports whether this memory is (or ever was) shared between

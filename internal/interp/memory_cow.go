@@ -6,37 +6,60 @@ import (
 	"gowali/internal/wasm"
 )
 
-// Copy-on-write linear memory. A restored or forked guest starts with a
+// Copy-on-write linear memory. A restored or forked guest runs on a
 // Memory whose Data aliases a frozen, shared base image; a per-page
-// overlay (64 KiB wasm pages) holds the pages this instance has written.
-// Reads consult the overlay first; the first write to a clean page copies
-// it out of the base ("materializes" it) and charges the memory budget for
-// exactly that page — so N children forked from one warmed image share
-// every page none of them touched, and tenant accounting sees only the
-// dirtied delta.
+// overlay (64 KiB wasm pages) holds the pages that differ from it. Reads
+// consult the overlay first; the first write to a page this memory does
+// not own copies it ("materializes" it) — so N children forked from one
+// warmed image share every page none of them touched.
+//
+// Overlay pages are either owned (private to this memory, written in
+// place) or frozen (shared read-only with fork relatives). Process fork
+// (Fork) freezes every page the parent owns and gives the child an
+// overlay of the same frozen pages over the same base; the next write by
+// either side copies the page. A fork therefore copies no image, and
+// nested forks share every page no generation has rewritten since.
 //
 // Invariants:
 //   - cow != nil implies the memory is private to one guest thread:
 //     MarkConcurrent (thread spawn) collapses the overlay first, so the
-//     shared-memory atomic paths never race with the overlay.
+//     shared-memory atomic paths never race with the overlay, and Fork
+//     of a concurrent or Shared memory takes a full copy instead.
 //   - While cow != nil, Data aliases cow.base and MUST NOT be written
 //     through; every write path in the engine and the embedder is
 //     barriered (sharedStore*, execMemAccess byte/half stores, memory.
-//     copy/fill, Bytes, mmap/brk via Bytes windows).
+//     copy/fill, Bytes, mmap/brk via Bytes windows). Neither base nor a
+//     frozen page is ever written: other memories read them.
 //   - len(Data) stays authoritative for bounds checks (effAddr, InRange).
+//   - Budget: a restored memory is charged one page at a time, when a
+//     page it has never held is materialized. A forked memory (parent
+//     and child) is prepaid: fork reserved the full image up front, so
+//     materializing or collapsing charges nothing. Grow always charges
+//     its delta.
 //
 // The inactive cost of the barrier is a single predictable nil check on
 // each memory access; BenchmarkInterpreter guards it at ≤2%.
 type cowState struct {
 	base  []byte   // frozen full-size image, shared read-only; == m.Data
 	pages [][]byte // overlay, indexed by addr >> cowPageShift; nil = clean
-	dirty int      // number of materialized pages
+	owned []bool   // owned[p]: pages[p] is private; else frozen (shared)
+	dirty int      // number of owned pages
+
+	// prepaid: every page is already charged to the budget (fork), so
+	// materializing and collapsing reserve nothing.
+	prepaid bool
 }
 
 const (
 	cowPageShift = 16 // 64 KiB, the wasm page size
 	cowPageSize  = wasm.PageSize
 )
+
+// newCowState builds an empty overlay over base.
+func newCowState(base []byte, prepaid bool) *cowState {
+	n := len(base) / cowPageSize
+	return &cowState{base: base, pages: make([][]byte, n), owned: make([]bool, n), prepaid: prepaid}
+}
 
 // NewCowMemory builds a copy-on-write memory over a frozen base image.
 // base must not be mutated for the life of any memory built over it; its
@@ -48,18 +71,39 @@ func NewCowMemory(base []byte, maxLen uint64, reserve func(int64) bool) *Memory 
 		Data:    base,
 		MaxLen:  maxLen,
 		Reserve: reserve,
-		cow: &cowState{
-			base:  base,
-			pages: make([][]byte, len(base)/cowPageSize),
-		},
+		cow:     newCowState(base, false),
 	}
+}
+
+// Fork returns the memory of a forked child: a copy-on-write view of m's
+// current contents. m itself becomes a copy-on-write view of the same
+// frozen image (the pages it owned are frozen and shared with the child),
+// so neither side copies anything until it writes. The child is prepaid:
+// the caller charges the full image for it. A concurrent or Shared
+// memory cannot be frozen under its other threads, so the child gets a
+// full private copy instead. Reserve and OnCowFault are not copied.
+func (m *Memory) Fork() *Memory {
+	if m.racy() {
+		return &Memory{Data: m.SnapshotBytes(), MaxLen: m.MaxLen, Shared: m.Shared}
+	}
+	c := m.cow
+	if c == nil {
+		c = newCowState(m.Data, true)
+		m.cow = c
+	}
+	clear(c.owned)
+	c.dirty = 0
+	child := newCowState(c.base, true)
+	copy(child.pages, c.pages)
+	return &Memory{Data: m.Data, MaxLen: m.MaxLen, cow: child}
 }
 
 // CowActive reports whether this memory still reads through a shared base.
 func (m *Memory) CowActive() bool { return m.cow != nil }
 
-// DirtyPages returns the number of materialized (private) pages, or the
-// full page count once the overlay has collapsed.
+// DirtyPages returns the number of private pages: those materialized
+// since the restore or the last fork, or the full page count once the
+// overlay has collapsed.
 func (m *Memory) DirtyPages() int {
 	if m.cow == nil {
 		return len(m.Data) / cowPageSize
@@ -67,8 +111,8 @@ func (m *Memory) DirtyPages() int {
 	return m.cow.dirty
 }
 
-// page returns the backing slice for page p: the private copy if dirtied,
-// else the shared base.
+// page returns the backing slice for page p: the overlay page (owned or
+// frozen) if there is one, else the shared base.
 func (c *cowState) page(p int) []byte {
 	if pg := c.pages[p]; pg != nil {
 		return pg
@@ -76,20 +120,22 @@ func (c *cowState) page(p int) []byte {
 	return c.base[p<<cowPageShift : (p+1)<<cowPageShift]
 }
 
-// materializePage gives page p a private copy, charging the budget.
+// materializePage gives page p a private copy. Only a page this memory
+// has never held is charged, and only when the memory is not prepaid.
 // Traps on budget exhaustion — the CoW analogue of the OOM killer: the
 // write that needed the page cannot be expressed as a syscall error.
 func (m *Memory) materializePage(p int) []byte {
 	c := m.cow
-	if pg := c.pages[p]; pg != nil {
-		return pg
+	if c.owned[p] {
+		return c.pages[p]
 	}
-	if m.Reserve != nil && !m.Reserve(cowPageSize) {
+	if c.pages[p] == nil && !c.prepaid && m.Reserve != nil && !m.Reserve(cowPageSize) {
 		Throw(TrapMemBudget, "copy-on-write page %d: tenant memory budget exhausted", p)
 	}
 	pg := make([]byte, cowPageSize)
-	copy(pg, c.base[p<<cowPageShift:(p+1)<<cowPageShift])
+	copy(pg, c.page(p))
 	c.pages[p] = pg
+	c.owned[p] = true
 	c.dirty++
 	if m.OnCowFault != nil {
 		m.OnCowFault(p)
@@ -100,24 +146,24 @@ func (m *Memory) materializePage(p int) []byte {
 // Materialize collapses the overlay into a fresh private buffer, ending
 // copy-on-write for this memory. Needed when a caller requires a stable
 // contiguous view (multi-page Bytes windows, memory.grow, thread sharing).
-// Returns false when the budget refuses the remaining clean pages.
+// Returns false when the budget refuses the pages never held.
 func (m *Memory) Materialize() bool {
 	c := m.cow
 	if c == nil {
 		return true
 	}
-	clean := len(c.pages) - c.dirty
-	if m.Reserve != nil && clean > 0 && !m.Reserve(int64(clean)*cowPageSize) {
-		return false
-	}
-	data := make([]byte, len(c.base))
-	copy(data, c.base)
-	for p, pg := range c.pages {
-		if pg != nil {
-			copy(data[p<<cowPageShift:], pg)
+	if !c.prepaid && m.Reserve != nil {
+		clean := 0
+		for _, pg := range c.pages {
+			if pg == nil {
+				clean++
+			}
+		}
+		if clean > 0 && !m.Reserve(int64(clean)*cowPageSize) {
+			return false
 		}
 	}
-	m.Data = data
+	m.Data = m.SnapshotBytes()
 	m.cow = nil
 	return true
 }

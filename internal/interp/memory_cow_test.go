@@ -180,3 +180,73 @@ func TestCowGrowCollapsesOverlay(t *testing.T) {
 		t.Fatal("collapse wrote into the shared base")
 	}
 }
+
+func TestCowForkFreezesOwnedPages(t *testing.T) {
+	m := NewMemory(wasm.Limits{Min: 3, Max: 16, HasMax: true})
+	m.WriteU32(8, 1)
+	child := m.Fork()
+	if !m.CowActive() || !child.CowActive() || m.DirtyPages() != 0 {
+		t.Fatalf("after fork: parent cow %v dirty %d, child cow %v", m.CowActive(), m.DirtyPages(), child.CowActive())
+	}
+	// The child owns page 0 after writing it; forking again freezes that
+	// page and shares it with the grandchild.
+	child.WriteU32(8, 2)
+	grand := child.Fork()
+	child.WriteU32(8, 3)
+	grand.WriteU32(wasm.PageSize+8, 4)
+	m.WriteU32(wasm.PageSize+8, 5)
+	for _, c := range []struct {
+		name      string
+		mem       *Memory
+		p0, p1    uint32
+		dirtyWant int
+	}{
+		{"parent", m, 1, 5, 1},
+		{"child", child, 3, 0, 1},
+		{"grandchild", grand, 2, 4, 1},
+	} {
+		v0, _ := c.mem.ReadU32(8)
+		v1, _ := c.mem.ReadU32(wasm.PageSize + 8)
+		if v0 != c.p0 || v1 != c.p1 {
+			t.Errorf("%s reads %d, %d; want %d, %d", c.name, v0, v1, c.p0, c.p1)
+		}
+		if d := c.mem.DirtyPages(); d != c.dirtyWant {
+			t.Errorf("%s: %d private pages, want %d", c.name, d, c.dirtyWant)
+		}
+	}
+}
+
+func TestCowForkBudgetChargesOnce(t *testing.T) {
+	var charged int64
+	reserve := func(n int64) bool { charged += n; return true }
+
+	// A forked memory is prepaid: its page copies and its collapse are
+	// free, growth is charged exactly.
+	m := NewMemory(wasm.Limits{Min: 2, Max: 16, HasMax: true})
+	m.Reserve = reserve
+	child := m.Fork()
+	child.Reserve = reserve
+	m.WriteU32(8, 1)
+	child.WriteU32(8, 1)
+	if m.Grow(1) != 2 || child.Grow(1) != 2 {
+		t.Fatal("grow failed")
+	}
+	if charged != 2*wasm.PageSize {
+		t.Fatalf("charged %d bytes, want the two grown pages only", charged)
+	}
+
+	// A restored memory pays per page it first materializes; pages it
+	// paid for stay paid after a fork freezes them.
+	charged = 0
+	r := NewCowMemory(cowBase(4), 16*wasm.PageSize, reserve)
+	r.WriteU32(8, 1)
+	r.Fork()
+	r.WriteU32(8, 2)
+	r.WriteU32(wasm.PageSize+8, 2)
+	if charged != 2*wasm.PageSize {
+		t.Fatalf("charged %d bytes, want two pages", charged)
+	}
+	if !r.Materialize() || charged != 4*wasm.PageSize {
+		t.Fatalf("collapse charged %d bytes in total, want four pages", charged)
+	}
+}

@@ -21,9 +21,10 @@ import (
 //
 // Keys carry the mount ID so distinct mounts can never alias (inode
 // numbers are per-mount), and so unmount can sweep a whole mount's
-// entries; mount IDs are never reused, which makes any entry surviving
-// the sweep (an insert racing the unmount) unreachable garbage rather
-// than a stale hit for a later mount at the same path.
+// entries. Unmount marks the mount dead before it sweeps, and an insert
+// re-checks the flag under the shard lock, so an insert racing the
+// unmount is either swept or never made. Inodes of a detached tree have
+// no mount and are never cached.
 const dcacheShards = 64
 
 // dcacheShardCap bounds each shard; beyond it a random entry is evicted.
@@ -57,11 +58,21 @@ func (fs *FS) dcacheGet(mnt, dir uint64, name string) *Inode {
 	return n
 }
 
-// dcachePut caches a positive lookup. Caller holds the directory's inode
-// lock in (at least) read mode.
-func (fs *FS) dcachePut(mnt, dir uint64, name string, n *Inode) {
-	sh := fs.dshard(mnt, dir, name)
+// dcachePut caches a positive lookup in mount m. Caller holds the
+// directory's inode lock in (at least) read mode.
+func (fs *FS) dcachePut(m *Mount, dir uint64, name string, n *Inode) {
+	if m == nil {
+		return
+	}
+	sh := fs.dshard(m.ID, dir, name)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	// Checked under the shard lock: Unmount sets dead before its sweep
+	// takes this lock, so a live reading here means the sweep is still
+	// to come.
+	if m.dead.Load() {
+		return
+	}
 	if sh.m == nil {
 		sh.m = make(map[dentKey]*Inode)
 	}
@@ -71,8 +82,7 @@ func (fs *FS) dcachePut(mnt, dir uint64, name string, n *Inode) {
 			break
 		}
 	}
-	sh.m[dentKey{mnt, dir, name}] = n
-	sh.mu.Unlock()
+	sh.m[dentKey{m.ID, dir, name}] = n
 }
 
 // dcacheDelete invalidates (mnt, dir, name). Caller holds the directory's

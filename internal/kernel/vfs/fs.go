@@ -108,7 +108,7 @@ func (fs *FS) lookup(dir *Inode, name string) (*Inode, bool) {
 	dir.mu.RLock()
 	c, ok := dir.children[name]
 	if ok {
-		fs.dcachePut(mntID, dir.Ino, name, c)
+		fs.dcachePut(m, dir.Ino, name, c)
 	}
 	dir.mu.RUnlock()
 	return c, ok

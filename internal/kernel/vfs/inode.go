@@ -327,11 +327,8 @@ func (n *Inode) WriteAt(b []byte, off int64) (int, linux.Errno) {
 	if n.gen != nil {
 		return 0, linux.EACCES
 	}
-	end := off + int64(len(b))
-	if end > int64(len(n.data)) {
-		grown := make([]byte, end)
-		copy(grown, n.data)
-		n.data = grown
+	if end := off + int64(len(b)); end > int64(len(n.data)) {
+		n.resize(end)
 	}
 	copy(n.data[off:], b)
 	n.mtime = n.ctime
@@ -354,14 +351,28 @@ func (n *Inode) Truncate(size int64) linux.Errno {
 	if n.gen != nil {
 		return linux.EACCES
 	}
-	if size <= int64(len(n.data)) {
+	n.resize(size)
+	return 0
+}
+
+// resize sets the content length to size. Growth past the capacity at
+// least doubles it, so a run of appends copies each byte O(1) times
+// instead of once per append. Bytes between the old and new length read
+// as zero, including capacity a shrinking truncate left behind. Caller
+// holds n.mu in write mode.
+func (n *Inode) resize(size int64) {
+	old := int64(len(n.data))
+	switch {
+	case size <= old:
 		n.data = n.data[:size]
-	} else {
-		grown := make([]byte, size)
+	case size <= int64(cap(n.data)):
+		n.data = n.data[:size]
+		clear(n.data[old:])
+	default:
+		grown := make([]byte, size, max(size, 2*int64(cap(n.data))))
 		copy(grown, n.data)
 		n.data = grown
 	}
-	return 0
 }
 
 // DirEntry is one directory listing entry.

@@ -145,9 +145,9 @@ func (fs *FS) Mount(path string, b Backend, opts MountOptions) linux.Errno {
 // Unmount detaches the (topmost) mount at path. In-flight walks and
 // open files referencing the old mount keep working against its
 // backend (lazy unmount, as MNT_DETACH behaves); fresh walks see the
-// underlying directory. All of the mount's dentry-cache entries are
-// swept out; its mount ID is never reused, so even a racing cache
-// insert cannot make a new mount at the same path serve stale entries.
+// underlying directory. The mount is marked dead before all of its
+// dentry-cache entries are swept out, and dcachePut refuses dead
+// mounts, so no entry of the old mount survives the sweep.
 func (fs *FS) Unmount(path string) linux.Errno {
 	npath := normalizeAbs(path)
 	fs.mntMu.Lock()
@@ -316,7 +316,7 @@ func (m *Mount) lookupProxy(fs *FS, dir *Inode, name string) (*Inode, bool) {
 		return nil, false
 	}
 	n := m.getNode(dir, joinRel(dir.brel, name), info)
-	fs.dcachePut(m.ID, dir.Ino, name, n)
+	fs.dcachePut(m, dir.Ino, name, n)
 	return n, true
 }
 

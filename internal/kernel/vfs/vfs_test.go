@@ -96,6 +96,73 @@ func TestInodeDataOps(t *testing.T) {
 	}
 }
 
+// TestInodeGrowthZeroFillsGaps: file growth reuses spare capacity, so
+// bytes a shrinking truncate left behind must never reappear when the
+// file grows again, by a write past EOF or a truncate-extend.
+func TestInodeGrowthZeroFillsGaps(t *testing.T) {
+	fs := newFS()
+	// filled returns a fresh file holding n 0xff bytes.
+	filled := func(name string, n int) *Inode {
+		t.Helper()
+		f, errno := fs.Create("/", name, linux.S_IFREG|0o644, 0, 0, true)
+		if errno != 0 {
+			t.Fatal(errno)
+		}
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = 0xff
+		}
+		f.WriteAt(b, 0)
+		return f
+	}
+	wantZeros := func(what string, f *Inode, from, to int64) {
+		t.Helper()
+		buf := make([]byte, to-from)
+		if cnt, _ := f.ReadAt(buf, from); int64(cnt) != to-from {
+			t.Fatalf("%s: read %d of %d bytes", what, cnt, to-from)
+		}
+		for i, c := range buf {
+			if c != 0 {
+				t.Fatalf("%s: byte %d is %#x, want 0", what, from+int64(i), c)
+			}
+		}
+	}
+
+	f := filled("/shrink-write", 4096)
+	f.Truncate(10)
+	f.WriteAt([]byte("x"), 2000)
+	wantZeros("truncate-shrink then write past EOF", f, 10, 2000)
+
+	f = filled("/sparse", 3000)
+	f.WriteAt([]byte("y"), 5000)
+	wantZeros("sparse write past EOF", f, 3000, 5000)
+
+	f = filled("/shrink-extend", 4096)
+	f.Truncate(100)
+	f.Truncate(4096)
+	wantZeros("truncate-extend after shrink", f, 100, 4096)
+	if f.Size() != 4096 {
+		t.Fatalf("size %d after truncate-extend", f.Size())
+	}
+}
+
+// TestInodeAppendAllocs: a run of appends grows the file geometrically,
+// so 1000 sequential 4 KiB appends allocate O(log n) times rather than
+// once per append.
+func TestInodeAppendAllocs(t *testing.T) {
+	chunk := make([]byte, 4096)
+	allocs := testing.AllocsPerRun(5, func() {
+		n := &Inode{typ: linux.S_IFREG}
+		for i := int64(0); i < 1000; i++ {
+			n.WriteAt(chunk, i*int64(len(chunk)))
+		}
+	})
+	// log2(1000) = 10 doublings, plus the inode itself.
+	if allocs > 16 {
+		t.Fatalf("1000 appends allocated %.0f times, want O(log n)", allocs)
+	}
+}
+
 func TestDirEntriesSorted(t *testing.T) {
 	fs := newFS()
 	fs.MkdirAll("/d", 0o755)

@@ -80,12 +80,25 @@ func TestZephyrFS(t *testing.T) {
 	f.LocalGet(fd).I64Const(300).I64Const(8).Call(b.sys["fs_write"]).Drop()
 	f.LocalGet(fd).I64Const(0).I64Const(0).Call(b.sys["fs_seek"]).Drop()
 	f.LocalGet(fd).I64Const(400).I64Const(8).Call(b.sys["fs_read"]).Drop()
+	// A write after a seek past EOF leaves a gap that reads as zero.
+	f.LocalGet(fd).I64Const(64).I64Const(0).Call(b.sys["fs_seek"]).Drop()
+	f.LocalGet(fd).I64Const(300).I64Const(8).Call(b.sys["fs_write"]).Drop()
 	f.LocalGet(fd).Call(b.sys["fs_close"]).Drop()
 	f.Finish()
-	_, p := runZ(t, b)
+	w, p := runZ(t, b)
 	buf, _ := p.Inst.Mem.Bytes(400, 8)
 	if string(buf) != "cfgdata!" {
 		t.Fatalf("fs read back %q", buf)
+	}
+	want := "cfgdata!" + strings.Repeat("\x00", 56) + "cfgdata!"
+	snap := w.Z.FileSnapshot()
+	if got := string(snap["boot.cfg"]); got != want {
+		t.Fatalf("flash file = %q, want %q", got, want)
+	}
+	// FileSnapshot hands out copies, not the live file.
+	snap["boot.cfg"][0] = 'X'
+	if got := string(w.Z.FileSnapshot()["boot.cfg"]); got != want {
+		t.Fatalf("snapshot aliased the flash file: %q", got)
 	}
 }
 

@@ -625,14 +625,27 @@ func (z *Kernel) sysFsWrite(mem Mem, a []int64) int64 {
 	data := z.files[f.name]
 	end := f.pos + int64(len(buf))
 	if end > int64(len(data)) {
-		grown := make([]byte, end)
-		copy(grown, data)
-		data = grown
+		data = growFile(data, end)
 	}
 	copy(data[f.pos:], buf)
 	z.files[f.name] = data
 	f.pos = end
 	return int64(len(buf))
+}
+
+// growFile extends data to size bytes. Growth past the capacity at least
+// doubles it, so a run of appends copies each byte O(1) times; the gap
+// between the old and new length (a seek past EOF) reads as zero.
+func growFile(data []byte, size int64) []byte {
+	old := len(data)
+	if size > int64(cap(data)) {
+		grown := make([]byte, size, max(size, 2*int64(cap(data))))
+		copy(grown, data)
+		return grown
+	}
+	data = data[:size]
+	clear(data[old:])
+	return data
 }
 
 func (z *Kernel) sysFsSeek(mem Mem, a []int64) int64 {

@@ -151,9 +151,12 @@ func ReadImageFile(path string) (*Image, error) {
 	return ReadImage(f)
 }
 
-// DirtyPages reports how many 64 KiB pages a restored process has
-// privatized away from its image so far (its true memory footprint; the
-// tenant budget charges exactly these).
+// DirtyPages reports how many 64 KiB pages of the process's memory are
+// private. A restored process counts the pages it has privatized away
+// from its image so far (its true memory footprint; the tenant budget
+// charges exactly these). A process that has forked counts the pages it
+// has copied since its last fork. Any other process counts its whole
+// memory.
 func (p *Process) DirtyPages() int {
 	if p.wp == nil {
 		return 0
