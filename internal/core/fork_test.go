@@ -55,14 +55,11 @@ func (g guestCheck) childExit(addr, want int32) {
 	g.f.End()
 }
 
-// wait reaps one child into the wait status at addr, retrying EINTR: a
-// pending SIGCHLD, though ignored by default, interrupts wait4 when it
-// lands between the child scan and the signal check.
+// wait reaps one child into the wait status at addr. No EINTR retry: a
+// pending SIGCHLD is ignored by default and must not interrupt wait4.
 func (g guestCheck) wait(addr int32) {
-	g.f.Loop()
 	g.b.call(g.f, "wait4", -1, int64(addr), 0, 0)
-	g.f.I64Const(-int64(linux.EINTR)).Op(wasm.OpI64Eq).BrIf(0)
-	g.f.End()
+	g.f.Drop()
 }
 
 // fork calls fork into local r and opens the child's branch.

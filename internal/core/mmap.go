@@ -89,7 +89,9 @@ func (p *MmapPool) ensureBase() {
 	}
 }
 
-// ensureMemory grows linear memory to cover [0, end).
+// ensureMemory grows linear memory to cover [0, end). Bytes it adds read
+// zero (interp.Memory.Grow), so callers zero only below the old length
+// (zeroBelow) instead of faulting fresh reservation pages in.
 func (p *MmapPool) ensureMemory(end uint32) linux.Errno {
 	need := uint64(end)
 	cur := uint64(len(p.mem.Data))
@@ -101,6 +103,14 @@ func (p *MmapPool) ensureMemory(end uint32) linux.Errno {
 		return linux.ENOMEM
 	}
 	return 0
+}
+
+// zeroBelow zeroes the part of [addr, addr+ln) below old, the memory's
+// length before ensureMemory grew it.
+func (p *MmapPool) zeroBelow(addr, ln uint32, old uint64) {
+	if uint64(addr) < old {
+		p.mem.ZeroRange(addr, uint32(min(uint64(ln), old-uint64(addr))))
+	}
 }
 
 // findGap locates a free range of length ln (first fit above base).
@@ -160,15 +170,17 @@ func (p *MmapPool) Map(addr uint32, length uint32, prot, flags int32, file kerne
 			return 0, errno
 		}
 	}
+	old := uint64(len(p.mem.Data))
 	if errno := p.ensureMemory(addr + ln); errno != 0 {
 		return 0, errno
 	}
 
-	// Fresh anonymous contents are zero; MAP_FIXED reuse must re-zero.
-	// All content writes go through the cow-aware Memory helpers so a
+	// Fresh anonymous contents are zero; reuse of a range that was
+	// mapped before (MAP_FIXED, or after munmap) must re-zero. All
+	// content writes go through the cow-aware Memory helpers so a
 	// restored guest's mmap traffic dirties pages instead of writing
 	// through the shared snapshot base.
-	p.mem.ZeroRange(addr, ln)
+	p.zeroBelow(addr, ln, old)
 	if file != nil && flags&linux.MAP_ANONYMOUS == 0 {
 		if p.mem.CowActive() {
 			buf := make([]byte, ln)
@@ -280,10 +292,11 @@ func (p *MmapPool) Remap(oldAddr, oldLen, newLen uint32, flags int32) (uint32, l
 	// Try growing in place.
 	if !p.overlapsOther(reg, oldAddr+oldSz, newSz-oldSz) &&
 		uint64(oldAddr)+uint64(newSz) <= uint64(p.mem.MaxLen) {
+		old := uint64(len(p.mem.Data))
 		if errno := p.ensureMemory(oldAddr + newSz); errno != 0 {
 			return 0, errno
 		}
-		p.mem.ZeroRange(oldAddr+oldSz, newSz-oldSz)
+		p.zeroBelow(oldAddr+oldSz, newSz-oldSz, old)
 		reg.Len = newSz
 		return oldAddr, 0
 	}
@@ -295,10 +308,11 @@ func (p *MmapPool) Remap(oldAddr, oldLen, newLen uint32, flags int32) (uint32, l
 	if errno != 0 {
 		return 0, errno
 	}
+	old := uint64(len(p.mem.Data))
 	if errno := p.ensureMemory(newAddr + newSz); errno != 0 {
 		return 0, errno
 	}
-	p.mem.ZeroRange(newAddr+oldSz, newSz-oldSz)
+	p.zeroBelow(newAddr+oldSz, newSz-oldSz, old)
 	p.mem.CopyRange(newAddr, oldAddr, oldSz)
 	moved := *reg
 	moved.Addr = newAddr
@@ -373,11 +387,12 @@ func (p *MmapPool) Brk(addr uint32) uint32 {
 	if p.overlaps(p.brk, end-p.brk) {
 		return p.brk
 	}
+	old := uint64(len(p.mem.Data))
 	if p.ensureMemory(end) != 0 {
 		return p.brk
 	}
 	if end > p.brk {
-		p.mem.ZeroRange(p.brk, end-p.brk)
+		p.zeroBelow(p.brk, end-p.brk, old)
 	}
 	p.brk = end
 	return p.brk

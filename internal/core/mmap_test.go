@@ -89,6 +89,90 @@ func TestPoolFixedMapping(t *testing.T) {
 	}
 }
 
+// TestPoolReuseReadsZero: the pool zeroes only below the memory's old
+// length, so every reuse of a range the guest dirtied — brk moving back
+// up, MAP_FIXED over a live mapping, an mmap landing in a munmapped
+// hole, an in-place mremap over a freed tail — must still read zero, on
+// flat and on copy-on-write memories.
+func TestPoolReuseReadsZero(t *testing.T) {
+	const anon = linux.MAP_ANONYMOUS | linux.MAP_PRIVATE
+	dirty := func(t *testing.T, mem *interp.Memory, a, n uint32) {
+		t.Helper()
+		buf := make([]byte, n)
+		for i := range buf {
+			buf[i] = 0xAA
+		}
+		if !mem.WriteBytes(a, buf) {
+			t.Fatalf("dirty [%#x,+%d) out of range", a, n)
+		}
+	}
+	zeroed := func(t *testing.T, what string, mem *interp.Memory, a, n uint32) {
+		t.Helper()
+		buf := make([]byte, n)
+		if !mem.ReadBytes(a, buf) {
+			t.Fatalf("%s: [%#x,+%d) out of range", what, a, n)
+		}
+		for i, v := range buf {
+			if v != 0 {
+				t.Fatalf("%s: byte %#x = %#x, want 0", what, a+uint32(i), v)
+			}
+		}
+	}
+	mems := map[string]func() *interp.Memory{
+		"flat": func() *interp.Memory { return interp.NewMemory(wasm.Limits{Min: 2, Max: 64, HasMax: true}) },
+		"cow": func() *interp.Memory {
+			base := make([]byte, 8*wasm.PageSize)
+			for i := range base {
+				base[i] = 0x55
+			}
+			return interp.NewCowMemory(base, 64*wasm.PageSize, nil)
+		},
+	}
+	for name, mk := range mems {
+		t.Run(name, func(t *testing.T) {
+			mem := mk()
+			p := NewMmapPool(mem)
+			brk := p.Brk(0)
+			top := p.Brk(brk + 2*MapGranularity)
+			if top != brk+2*MapGranularity {
+				t.Fatalf("brk grow: %#x, want %#x", top, brk+2*MapGranularity)
+			}
+			dirty(t, mem, brk, top-brk)
+			p.Brk(brk)
+			if got := p.Brk(top); got != top {
+				t.Fatalf("brk regrow: %#x, want %#x", got, top)
+			}
+			zeroed(t, "brk regrowth", mem, brk, top-brk)
+			p.Brk(brk)
+
+			a, errno := p.Map(0, 3*MapGranularity, 0, anon, nil, 0)
+			if errno != 0 {
+				t.Fatal(errno)
+			}
+			zeroed(t, "fresh map", mem, a, 3*MapGranularity)
+			dirty(t, mem, a, 3*MapGranularity)
+			if b, errno := p.Map(a, 2*MapGranularity, 0, anon|linux.MAP_FIXED, nil, 0); errno != 0 || b != a {
+				t.Fatalf("fixed map: %#x %v", b, errno)
+			}
+			zeroed(t, "MAP_FIXED over a dirty mapping", mem, a, 2*MapGranularity)
+
+			p.Unmap(a, 3*MapGranularity)
+			b, errno := p.Map(0, MapGranularity, 0, anon, nil, 0)
+			if errno != 0 || b != a {
+				t.Fatalf("map into the hole: %#x %v, want %#x", b, errno, a)
+			}
+			zeroed(t, "mmap reusing a munmapped range", mem, b, MapGranularity)
+			dirty(t, mem, b, MapGranularity)
+			// The hole's tail (dirtied above) is free again: grow in place.
+			c, errno := p.Remap(b, MapGranularity, 3*MapGranularity, 0)
+			if errno != 0 || c != b {
+				t.Fatalf("remap in place: %#x %v", c, errno)
+			}
+			zeroed(t, "mremap over a freed tail", mem, b+MapGranularity, 2*MapGranularity)
+		})
+	}
+}
+
 func TestPoolBrk(t *testing.T) {
 	p, mem := testPool(t)
 	base := p.Brk(0)

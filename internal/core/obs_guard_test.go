@@ -23,14 +23,10 @@ func dispatchWall(t *testing.T, w *WALI, c *interp.Compiled, calls int) time.Dur
 	return time.Since(start)
 }
 
-// median runs f `runs` times and returns the middle sample.
-func median(runs int, f func() time.Duration) time.Duration {
-	samples := make([]time.Duration, runs)
-	for i := range samples {
-		samples[i] = f()
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return samples[runs/2]
+// median returns the middle sample (sorting xs in place).
+func median[T float64 | time.Duration](xs []T) T {
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	return xs[len(xs)/2]
 }
 
 // BenchmarkSyscallDispatchObs prices the dispatch path per obs mode:
@@ -92,17 +88,22 @@ func BenchmarkSyscallDispatchObs(b *testing.B) {
 // TestObsDisabledDispatchOverhead enforces the overhead contract: an
 // attached-but-disabled obs plane (tracer present but not armed, no
 // metrics registry) must cost the syscall dispatch path no more than a
-// few predictable branches. The guard compares median wall time of a
-// getpid-storm guest with and without the plane attached and fails if
-// the instrumented-disabled path exceeds the bare path by >25% — far
-// above what a couple of atomic loads can cost, so it only trips if
-// someone puts real work (allocation, locking, formatting) on the
-// disabled path.
+// few predictable branches. Two guards:
+//
+//   - allocations, which are deterministic: the attached tracer may add
+//     no allocation per syscall (testing.AllocsPerRun over a
+//     getpid-storm guest, against the bare engine);
+//   - wall time, sampled in interleaved A/B pairs (the order alternates
+//     from pair to pair) so machine drift hits both sides of a pair
+//     alike: the median of the per-pair ratios must stay within 1.25 —
+//     far above what a couple of atomic loads can cost, so it only
+//     trips if someone puts real work (locking, formatting) on the
+//     disabled path.
 func TestObsDisabledDispatchOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard")
 	}
-	const calls, runs = 4000, 5
+	const calls, pairs = 4000, 9
 	c := statApp(t, calls)
 
 	// Warm both engines once (module instantiation, map growth).
@@ -112,12 +113,29 @@ func TestObsDisabledDispatchOverhead(t *testing.T) {
 	dispatchWall(t, bare, c, calls)
 	dispatchWall(t, instr, c, calls)
 
-	base := median(runs, func() time.Duration { return dispatchWall(t, bare, c, calls) })
-	withObs := median(runs, func() time.Duration { return dispatchWall(t, instr, c, calls) })
+	bareAllocs := testing.AllocsPerRun(5, func() { dispatchWall(t, bare, c, calls) })
+	obsAllocs := testing.AllocsPerRun(5, func() { dispatchWall(t, instr, c, calls) })
+	t.Logf("allocations per run of %d syscalls: bare=%.0f obs-disabled=%.0f", calls, bareAllocs, obsAllocs)
+	if extra := obsAllocs - bareAllocs; extra >= calls/100 {
+		t.Fatalf("disabled obs plane adds %.0f allocations over %d syscalls (bare %.0f, attached %.0f); it must add none per syscall", extra, calls, bareAllocs, obsAllocs)
+	}
 
-	ratio := float64(withObs) / float64(base)
-	t.Logf("dispatch median: bare=%v obs-disabled=%v ratio=%.3f", base, withObs, ratio)
+	ratios := make([]float64, pairs)
+	bareS := make([]time.Duration, pairs)
+	obsS := make([]time.Duration, pairs)
+	for i := range ratios {
+		if i%2 == 0 {
+			bareS[i] = dispatchWall(t, bare, c, calls)
+			obsS[i] = dispatchWall(t, instr, c, calls)
+		} else {
+			obsS[i] = dispatchWall(t, instr, c, calls)
+			bareS[i] = dispatchWall(t, bare, c, calls)
+		}
+		ratios[i] = float64(obsS[i]) / float64(bareS[i])
+	}
+	ratio := median(ratios)
+	t.Logf("dispatch median: bare=%v obs-disabled=%v pair-ratio median=%.3f", median(bareS), median(obsS), ratio)
 	if ratio > 1.25 {
-		t.Fatalf("disabled obs plane slows syscall dispatch %.2fx (bare %v, attached %v); the disabled fast path must stay a few atomic loads", ratio, base, withObs)
+		t.Fatalf("disabled obs plane slows syscall dispatch %.2fx (median of %d A/B pairs); the disabled fast path must stay a few atomic loads", ratio, pairs)
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"encoding/binary"
-	"time"
+	"sync"
 
 	"gowali/internal/interp"
 	"gowali/internal/isa"
@@ -86,6 +86,17 @@ func i64s(n int) []wasm.ValType {
 	return out
 }
 
+// unionSet is the name-bound WALI syscall set (isa.Union) as a lookup
+// table, built once: every spawn and execve links against it, and it
+// never changes. Read-only after construction.
+var unionSet = sync.OnceValue(func() map[string]bool {
+	known := make(map[string]bool)
+	for _, s := range isa.Union() {
+		known[s] = true
+	}
+	return known
+})
+
 // RegisterHost installs every WALI host function into the linker: the
 // syscall surface plus the §3.4 external-parameter methods. Unknown names
 // that are valid Linux syscalls on some ISA resolve to -ENOSYS stubs (or
@@ -102,12 +113,12 @@ func (w *WALI) RegisterHost(l *interp.Linker) {
 					iargs[i] = int64(a)
 				}
 				entry := p.straceEntry(d.Name, iargs)
-				start := time.Now()
+				start := sinceEpoch()
 				var ret int64
 				// Record through panics too: exit/execve unwind the
 				// interpreter, but Fig. 2 profiles must still see them.
 				defer func() {
-					dur := time.Since(start)
+					dur := sinceEpoch() - start
 					p.stats.add(dur)
 					w.emitSyscall(p.KP.PID, d.Name, dur, ret)
 					w.observeSyscall(p.KP.PID, d.Name, dur, ret)
@@ -131,10 +142,7 @@ func (w *WALI) RegisterHost(l *interp.Linker) {
 
 	w.registerArgvEnv(l)
 
-	known := make(map[string]bool)
-	for _, s := range isa.Union() {
-		known[s] = true
-	}
+	known := unionSet()
 	l.Fallback = func(module, name string, ft wasm.FuncType) (interp.HostFunc, bool) {
 		if module != Namespace || len(name) < 5 || name[:4] != "SYS_" {
 			return interp.HostFunc{}, false

@@ -701,10 +701,10 @@ func (p *Process) Syscall(e *interp.Exec, name string, args ...int64) int64 {
 	full := make([]int64, d.NArgs)
 	copy(full, args)
 	entry := p.straceEntry(name, full)
-	start := time.Now()
+	start := sinceEpoch()
 	var ret int64
 	defer func() {
-		dur := time.Since(start)
+		dur := sinceEpoch() - start
 		p.stats.add(dur)
 		p.W.emitSyscall(p.KP.PID, name, dur, ret)
 		p.W.observeSyscall(p.KP.PID, name, dur, ret)

@@ -40,6 +40,11 @@ type Memory struct {
 	// shared base image (see memory_cow.go). Data aliases the base and is
 	// read-only; writes land in a per-page overlay.
 	cow *cowState
+
+	// owner, when non-nil, owns the reservation Data aliases (see
+	// reserve.go); holding it keeps the mapping alive. nil means Data is
+	// an ordinary heap slice.
+	owner *mapping
 }
 
 // MarkConcurrent records that a second thread now shares this memory.
@@ -55,23 +60,22 @@ func (m *Memory) MarkConcurrent() {
 // racy reports whether accesses to this memory may be concurrent.
 func (m *Memory) racy() bool { return m.Shared || m.concurrent.Load() }
 
-// NewMemory allocates a memory from declared limits. Shared memories are
-// allocated at their maximum immediately (as most engines do for the
-// threads proposal) so concurrent instances never observe a reallocated
-// backing array.
+// NewMemory creates a memory from declared limits, backed by a
+// reservation of its maximum size (reserve.go). Shared memories expose
+// their maximum immediately (as most engines do for the threads
+// proposal) so concurrent instances never observe a reallocated backing
+// array; the reservation keeps that free until pages are touched.
 func NewMemory(l wasm.Limits) *Memory {
 	maxPages := uint64(wasm.MaxPages)
 	if l.HasMax {
 		maxPages = uint64(l.Max)
 	}
-	m := &Memory{
-		Data:   make([]byte, uint64(l.Min)*wasm.PageSize),
-		MaxLen: maxPages * wasm.PageSize,
-		Shared: l.Shared,
-	}
+	m := &Memory{MaxLen: maxPages * wasm.PageSize, Shared: l.Shared}
+	n := uint64(l.Min) * wasm.PageSize
 	if l.Shared {
-		m.Data = make([]byte, m.MaxLen)
+		n = m.MaxLen
 	}
+	m.Data, m.owner = reserve(n, m.MaxLen)
 	return m
 }
 
@@ -79,7 +83,9 @@ func NewMemory(l wasm.Limits) *Memory {
 func (m *Memory) Pages() uint32 { return uint32(len(m.Data) / wasm.PageSize) }
 
 // Grow grows the memory by delta pages, returning the previous page count,
-// or -1 if growth exceeds the maximum.
+// or -1 if growth exceeds the maximum. A reserved memory grows in place;
+// the new bytes are untouched reservation and read zero. A heap-backed
+// one is copied into a larger buffer.
 func (m *Memory) Grow(delta uint32) int32 {
 	old := m.Pages()
 	newLen := uint64(len(m.Data)) + uint64(delta)*wasm.PageSize
@@ -93,9 +99,14 @@ func (m *Memory) Grow(delta uint32) int32 {
 		if m.Reserve != nil && !m.Reserve(int64(uint64(delta)*wasm.PageSize)) {
 			return -1
 		}
-		grown := make([]byte, newLen)
-		copy(grown, m.Data)
-		m.Data = grown
+		if m.owner != nil && newLen <= uint64(cap(m.Data)) {
+			m.owner.commit(int64(newLen) - int64(len(m.Data)))
+			m.Data = m.Data[:newLen]
+		} else {
+			grown := make([]byte, newLen)
+			copy(grown, m.Data)
+			m.Data, m.owner = grown, nil
+		}
 	}
 	return int32(old)
 }

@@ -31,6 +31,9 @@ import (
 //     copy/fill, Bytes, mmap/brk via Bytes windows). Neither base nor a
 //     frozen page is ever written: other memories read them.
 //   - len(Data) stays authoritative for bounds checks (effAddr, InRange).
+//   - A memory whose Data aliases a reservation holds its owner: the
+//     frozen parent and every child forked from it share one owner, so
+//     the image stays mapped while any of them can read it (reserve.go).
 //   - Budget: a restored memory is charged one page at a time, when a
 //     page it has never held is materialized. A forked memory (parent
 //     and child) is prepaid: fork reserved the full image up front, so
@@ -81,10 +84,13 @@ func NewCowMemory(base []byte, maxLen uint64, reserve func(int64) bool) *Memory 
 // so neither side copies anything until it writes. The child is prepaid:
 // the caller charges the full image for it. A concurrent or Shared
 // memory cannot be frozen under its other threads, so the child gets a
-// full private copy instead. Reserve and OnCowFault are not copied.
+// full private copy in a reservation of its own instead. Reserve and
+// OnCowFault are not copied.
 func (m *Memory) Fork() *Memory {
 	if m.racy() {
-		return &Memory{Data: m.SnapshotBytes(), MaxLen: m.MaxLen, Shared: m.Shared}
+		child := &Memory{MaxLen: m.MaxLen, Shared: m.Shared}
+		child.Data, child.owner = m.privateCopy()
+		return child
 	}
 	c := m.cow
 	if c == nil {
@@ -95,7 +101,8 @@ func (m *Memory) Fork() *Memory {
 	c.dirty = 0
 	child := newCowState(c.base, true)
 	copy(child.pages, c.pages)
-	return &Memory{Data: m.Data, MaxLen: m.MaxLen, cow: child}
+	// The child's Data aliases m's image, so it holds the same owner.
+	return &Memory{Data: m.Data, MaxLen: m.MaxLen, cow: child, owner: m.owner}
 }
 
 // CowActive reports whether this memory still reads through a shared base.
@@ -143,7 +150,7 @@ func (m *Memory) materializePage(p int) []byte {
 	return pg
 }
 
-// Materialize collapses the overlay into a fresh private buffer, ending
+// Materialize collapses the overlay into a fresh private reservation, ending
 // copy-on-write for this memory. Needed when a caller requires a stable
 // contiguous view (multi-page Bytes windows, memory.grow, thread sharing).
 // Returns false when the budget refuses the pages never held.
@@ -163,7 +170,7 @@ func (m *Memory) Materialize() bool {
 			return false
 		}
 	}
-	m.Data = m.SnapshotBytes()
+	m.Data, m.owner = m.privateCopy()
 	m.cow = nil
 	return true
 }
@@ -176,20 +183,35 @@ func (m *Memory) mustMaterialize() {
 }
 
 // SnapshotBytes returns a private full copy of the current memory
-// contents, composing base and overlay — the image a snapshot embeds.
+// contents on the Go heap — the image a snapshot embeds.
 func (m *Memory) SnapshotBytes() []byte {
 	out := make([]byte, len(m.Data))
-	if c := m.cow; c != nil {
-		copy(out, c.base)
-		for p, pg := range c.pages {
-			if pg != nil {
-				copy(out[p<<cowPageShift:], pg)
-			}
-		}
-		return out
-	}
-	copy(out, m.Data)
+	m.composeInto(out)
 	return out
+}
+
+// privateCopy returns the current contents in a fresh reservation (or a
+// heap buffer where reserving fails) and its owner.
+func (m *Memory) privateCopy() ([]byte, *mapping) {
+	out, owner := reserve(uint64(len(m.Data)), m.MaxLen)
+	m.composeInto(out)
+	return out, owner
+}
+
+// composeInto copies the current contents, base and overlay composed,
+// into out (len(out) == len(m.Data)).
+func (m *Memory) composeInto(out []byte) {
+	c := m.cow
+	if c == nil {
+		copy(out, m.Data)
+		return
+	}
+	copy(out, c.base)
+	for p, pg := range c.pages {
+		if pg != nil {
+			copy(out[p<<cowPageShift:], pg)
+		}
+	}
 }
 
 // cowReadInto fills b from [addr, addr+len(b)), crossing pages as needed.

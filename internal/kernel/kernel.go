@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gowali/internal/interp"
 	"gowali/internal/kernel/net"
 	"gowali/internal/kernel/vfs"
 	"gowali/internal/linux"
@@ -102,9 +103,6 @@ func NewKernel() *Kernel {
 	}
 	k.inet.Store(&netBackendBox{b: net.NewLoopback()})
 	k.unixNet = net.NewLoopback()
-	for i := range k.rngStripes {
-		k.rngStripes[i].rng = rand.New(rand.NewSource(rngSeedBase + int64(i)))
-	}
 	k.FS = vfs.New(k.Realtime)
 
 	for _, d := range []string{"/bin", "/dev", "/etc", "/home", "/proc", "/tmp", "/usr", "/var"} {
@@ -149,6 +147,13 @@ func (k *Kernel) SetNetBackend(b net.Backend) {
 	k.inet.Store(&netBackendBox{b: b})
 }
 
+// Names of the process-wide linear-memory gauges SetObs registers: the
+// live reservations and the bytes of guest memory handed out of them.
+const (
+	GaugeLinearMemories    = "wali_linear_memory_reservations"
+	GaugeLinearMemoryBytes = "wali_linear_memory_bytes"
+)
+
 // SetObs attaches the observability plane: registers per-kernel gauge
 // funcs on reg and forwards the plane to the network backend when it
 // supports it (switch nodes do; loopback and HostNet ignore it). Call
@@ -164,6 +169,12 @@ func (k *Kernel) SetObs(tr *obs.Tracer, reg *obs.Registry) {
 		name := fmt.Sprintf("wali_kernel_processes{kernel=\"k%d\"}", k.obsID)
 		reg.RegisterGaugeFunc(name, func() int64 { return int64(k.ProcessCount()) })
 		k.obsGauges = append(k.obsGauges, name)
+		// Guest linear memory lives outside the Go heap (interp
+		// reservations), so heap figures no longer show it. These
+		// gauges are process-wide, not per kernel, and stay
+		// registered after Shutdown: they sample no kernel state.
+		reg.RegisterGaugeFunc(GaugeLinearMemories, func() int64 { n, _ := interp.Reservations(); return n })
+		reg.RegisterGaugeFunc(GaugeLinearMemoryBytes, func() int64 { _, b := interp.Reservations(); return b })
 	}
 	k.obsMu.Unlock()
 	if o, ok := k.NetBackend().(interface {
@@ -245,8 +256,14 @@ func (k *Kernel) Nanosleep(d linux.Timespec) linux.Errno {
 // /dev/urandom spread across independent persistent generators instead
 // of serializing on one.
 func (k *Kernel) GetRandom(b []byte) int {
-	s := &k.rngStripes[k.rngNext.Add(1)%rngStripeCount]
+	n := k.rngNext.Add(1) % rngStripeCount
+	s := &k.rngStripes[n]
 	s.mu.Lock()
+	if s.rng == nil {
+		// Seeded on first use: most kernels never draw entropy, and
+		// seeding a generator costs more than booting the rest.
+		s.rng = rand.New(rand.NewSource(rngSeedBase + int64(n)))
+	}
 	for i := range b {
 		b[i] = byte(s.rng.Intn(256))
 	}

@@ -445,6 +445,59 @@ func TestSignalDefaultIgnored(t *testing.T) {
 	}
 }
 
+// TestWait4IgnoredSignalBlocks: a signal queued before wait4 whose
+// disposition discards it — SIGCHLD under SIG_DFL, or SIG_IGN — must not
+// fail wait4 with EINTR; wait4 blocks and reaps the child. A signal with
+// a handler still interrupts it.
+func TestWait4IgnoredSignalBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sig   int32
+		act   *linux.Sigaction
+		eintr bool
+	}{
+		{"SIGCHLD default", linux.SIGCHLD, nil, false},
+		{"SIG_IGN", linux.SIGUSR1, &linux.Sigaction{Handler: linux.SIG_IGN}, false},
+		{"handler", linux.SIGUSR1, &linux.Sigaction{Handler: 1234}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, p := newTestProc(t)
+			if tc.act != nil {
+				p.SigAction(tc.sig, tc.act)
+			}
+			c := p.Fork()
+			p.PostSignal(tc.sig)
+			if p.PendingSet()&sigBit(tc.sig) == 0 {
+				t.Fatal("signal not pending before wait4")
+			}
+			type result struct {
+				pid   int32
+				errno linux.Errno
+			}
+			done := make(chan result, 1)
+			go func() {
+				pid, _, _, errno := p.Wait4(-1, 0)
+				done <- result{pid, errno}
+			}()
+			if tc.eintr {
+				if r := <-done; r.errno != linux.EINTR {
+					t.Fatalf("wait4 with a caught signal pending: pid %d errno %v, want EINTR", r.pid, r.errno)
+				}
+				return
+			}
+			select {
+			case r := <-done:
+				t.Fatalf("wait4 returned while the child lived: pid %d errno %v", r.pid, r.errno)
+			case <-time.After(20 * time.Millisecond):
+			}
+			c.Exit(linux.WaitStatusExited(3))
+			if r := <-done; r.errno != 0 || r.pid != c.PID {
+				t.Fatalf("wait4: pid %d errno %v, want pid %d", r.pid, r.errno, c.PID)
+			}
+		})
+	}
+}
+
 func TestKillProcessGroup(t *testing.T) {
 	_, p := newTestProc(t)
 	c1 := p.Fork()

@@ -25,6 +25,12 @@ type SignalState struct {
 	// back-edge of every interpreter thread.
 	fast atomic.Uint64
 
+	// ignored mirrors the set of signals whose disposition discards them
+	// (SIG_IGN, or SIG_DFL with an ignore default), written only with mu
+	// held. A pending ignored signal is never deliverable: it interrupts
+	// no blocking call, and the lock-free checks skip it.
+	ignored atomic.Uint64
+
 	// threaded latches once the owning group spawns a second thread.
 	// Multi-threaded groups keep the locked poll path: its lock pairing is
 	// what orders the threads' shared wasm memory accesses (futex wake
@@ -46,9 +52,29 @@ func (s *SignalState) refreshFast() {
 	s.fast.Store(v)
 }
 
+// refreshIgnored republishes the ignored set from the action table;
+// callers hold s.mu or own s exclusively. SIGKILL and SIGSTOP are never
+// ignored, whatever a restored image says.
+func (s *SignalState) refreshIgnored() {
+	var v uint64
+	for sig := int32(1); sig <= linux.NSIG; sig++ {
+		if s.ignoredLocked(sig) {
+			v |= sigBit(sig)
+		}
+	}
+	s.ignored.Store(v &^ (sigBit(linux.SIGKILL) | sigBit(linux.SIGSTOP)))
+}
+
+// ignoredLocked reports whether sig's current disposition discards it.
+func (s *SignalState) ignoredLocked(sig int32) bool {
+	h := s.actions[sig].Handler
+	return h == linux.SIG_IGN || (h == linux.SIG_DFL && defaultIgnored(sig))
+}
+
 func newSignalState() *SignalState {
 	s := &SignalState{}
 	s.cond = sync.NewCond(&s.mu)
+	s.refreshIgnored()
 	return s
 }
 
@@ -57,6 +83,7 @@ func (s *SignalState) clone() *SignalState {
 	defer s.mu.Unlock()
 	c := newSignalState()
 	c.actions = s.actions
+	c.refreshIgnored()
 	return c
 }
 
@@ -70,6 +97,7 @@ func (s *SignalState) resetForExec() {
 			s.actions[i] = linux.Sigaction{}
 		}
 	}
+	s.refreshIgnored()
 }
 
 func sigBit(sig int32) uint64 { return 1 << uint(sig-1) }
@@ -101,6 +129,7 @@ func (p *Process) SigAction(sig int32, act *linux.Sigaction) (linux.Sigaction, l
 	old := s.actions[sig]
 	if act != nil {
 		s.actions[sig] = *act
+		s.refreshIgnored()
 	}
 	return old, 0
 }
@@ -136,8 +165,8 @@ func (p *Process) SigProcMask(how int32, set *uint64) (uint64, linux.Errno) {
 
 // PostSignal generates a process-directed signal (stage 2 of the paper's
 // signal lifecycle: generation). Ignored-by-disposition signals are still
-// queued; discard happens at delivery, matching the check order the WALI
-// frontend expects.
+// queued (rt_sigpending shows them); discard happens at delivery, and
+// until then HasDeliverableSignal does not count them.
 func (p *Process) PostSignal(sig int32) linux.Errno {
 	if sig == 0 {
 		return 0
@@ -207,12 +236,21 @@ func (p *Process) PendingSet() uint64 {
 	return t | p.sig.pending
 }
 
-// HasDeliverableSignal reports whether an unblocked signal is pending for
-// this thread. The lock-free fast path keeps the cost of the interpreter's
-// per-back-edge safepoint poll to two atomic loads when (as almost always)
-// nothing is pending; the locked slow path is authoritative.
+// quiet reports, lock-free, that nothing but ignored signals is pending
+// — the common case, which the interpreter's per-back-edge safepoint poll
+// and every syscall return answer with a few atomic loads. A false
+// result sends the caller to its authoritative locked path.
+func (p *Process) quiet() bool {
+	return !p.sig.threaded.Load() &&
+		(p.pendingTFast.Load()|p.sig.fast.Load())&^p.sig.ignored.Load() == 0
+}
+
+// HasDeliverableSignal reports whether an unblocked signal that is not
+// ignored is pending for this thread. Ignored signals stay pending until
+// delivery discards them, but never count here, so a pending SIGCHLD
+// under SIG_DFL cannot fail wait4 or any other blocking call with EINTR.
 func (p *Process) HasDeliverableSignal() bool {
-	if !p.sig.threaded.Load() && p.pendingTFast.Load() == 0 && p.sig.fast.Load() == 0 {
+	if p.quiet() {
 		return false
 	}
 	p.mu.Lock()
@@ -221,7 +259,13 @@ func (p *Process) HasDeliverableSignal() bool {
 	p.mu.Unlock()
 	p.sig.mu.Lock()
 	defer p.sig.mu.Unlock()
-	return (t|p.sig.pending)&^mask != 0 || p.sig.killed
+	return p.sig.deliverableLocked(t, mask)
+}
+
+// deliverableLocked is the authoritative predicate for a thread with
+// pending set t and mask; s.mu held.
+func (s *SignalState) deliverableLocked(t, mask uint64) bool {
+	return (t|s.pending)&^mask&^s.ignored.Load() != 0 || s.killed
 }
 
 // PendingFatal reports — without consuming anything — whether an
@@ -234,7 +278,7 @@ func (p *Process) HasDeliverableSignal() bool {
 // ignorable signals are left pending for safepoint delivery, where a
 // Wasm handler can legally be invoked.
 func (p *Process) PendingFatal() (int32, bool) {
-	if !p.sig.threaded.Load() && p.pendingTFast.Load() == 0 && p.sig.fast.Load() == 0 {
+	if p.quiet() {
 		return 0, false
 	}
 	p.mu.Lock()
@@ -294,11 +338,10 @@ func (p *Process) NextDeliverableSignal() (DeliverableSignal, bool) {
 			p.pendingT &^= b
 			p.pendingTFast.Store(p.pendingT)
 			p.mu.Unlock()
-			act := s.actions[sig]
-			if act.Handler == linux.SIG_IGN || (act.Handler == linux.SIG_DFL && defaultIgnored(sig)) {
+			if s.ignoredLocked(sig) {
 				continue
 			}
-			return DeliverableSignal{Sig: sig, Action: act}, true
+			return DeliverableSignal{Sig: sig, Action: s.actions[sig]}, true
 		}
 	}
 
@@ -312,11 +355,10 @@ func (p *Process) NextDeliverableSignal() (DeliverableSignal, bool) {
 		s.pending &^= b
 		s.refreshFast()
 		i--
-		act := s.actions[sig]
-		if act.Handler == linux.SIG_IGN || (act.Handler == linux.SIG_DFL && defaultIgnored(sig)) {
+		if s.ignoredLocked(sig) {
 			continue
 		}
-		return DeliverableSignal{Sig: sig, Action: act}, true
+		return DeliverableSignal{Sig: sig, Action: s.actions[sig]}, true
 	}
 	return DeliverableSignal{}, false
 }
@@ -374,7 +416,7 @@ func (p *Process) hasDeliverableLocked(s *SignalState) bool {
 	mask := p.sigMask
 	t := p.pendingT
 	p.mu.Unlock()
-	return (t|s.pending)&^mask != 0 || s.killed
+	return s.deliverableLocked(t, mask)
 }
 
 // SigTimedWait waits for one of the signals in set to become pending,

@@ -107,6 +107,7 @@ func (k *Kernel) RestoreProcess(img *snap.KernelImage) (*Process, error) {
 
 	p.sig.mu.Lock()
 	copy(p.sig.actions[:], img.Actions)
+	p.sig.refreshIgnored()
 	p.sig.mu.Unlock()
 	return p, nil
 }
