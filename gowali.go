@@ -659,7 +659,9 @@ func (r *Runtime) InstallBinary(path string, m *Module) error {
 }
 
 // SyscallStats reports accumulated syscall handler time and count for a
-// process (Fig. 7 attribution). WALI-backed hosts only.
+// live process (Fig. 7 attribution). A process that has finished
+// reports zero; totals past exit come from WithSyscallHook.
+// WALI-backed hosts only.
 func (r *Runtime) SyscallStats(pid int32) (time.Duration, uint64) {
 	if r.wali == nil {
 		return 0, 0

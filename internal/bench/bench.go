@@ -211,48 +211,54 @@ func Table2(iters int) []Table2Row {
 	var rows []Table2Row
 	for _, name := range Table2Syscalls {
 		d := reg[name]
-		row := Table2Row{Name: name, Stateful: d != nil && d.Stateful}
-		switch name {
-		case "fork", "clone":
-			row.Overhead = measureFork(name, min(iters, 64))
-		case "mmap":
-			// Map+unmap pairs keep the pool small; the munmap share is
-			// subtracted using its own measured cost.
-			env := newTable2Env()
-			n := min(iters, 2000)
-			unmapCost := time.Duration(0)
-			{
-				a := env.p.Syscall(env.e, "mmap", 0, 4096, linux.PROT_READ|linux.PROT_WRITE, linux.MAP_ANONYMOUS|linux.MAP_PRIVATE, -1, 0)
-				t0 := time.Now()
-				for i := 0; i < n; i++ {
-					env.p.Syscall(env.e, "munmap", a, 4096)
-				}
-				unmapCost = time.Since(t0) / time.Duration(n)
-			}
-			t0 := time.Now()
-			for i := 0; i < n; i++ {
-				a := env.p.Syscall(env.e, "mmap", 0, 4096, linux.PROT_READ|linux.PROT_WRITE, linux.MAP_ANONYMOUS|linux.MAP_PRIVATE, -1, 0)
-				env.p.Syscall(env.e, "munmap", a, 4096)
-			}
-			per := time.Since(t0) / time.Duration(n)
-			if per > unmapCost {
-				per -= unmapCost
-			}
-			row.Overhead = per
-			rows = append(rows, row)
-			continue
-		default:
-			env := newTable2Env()
-			args := table2Args(name)
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				env.p.Syscall(env.e, name, args...)
-			}
-			row.Overhead = time.Since(start) / time.Duration(iters)
-		}
-		rows = append(rows, row)
+		rows = append(rows, Table2Row{
+			Name:     name,
+			Overhead: table2Overhead(name, iters),
+			Stateful: d != nil && d.Stateful,
+		})
 	}
 	return rows
+}
+
+// table2Overhead measures one Table 2 row: the mean cost of one name
+// syscall over iters calls on a freshly prepared process.
+func table2Overhead(name string, iters int) time.Duration {
+	switch name {
+	case "fork", "clone":
+		return measureFork(name, min(iters, 64))
+	case "mmap":
+		// Map+unmap pairs keep the pool small; the munmap share is
+		// subtracted using its own measured cost.
+		env := newTable2Env()
+		n := min(iters, 2000)
+		unmapCost := time.Duration(0)
+		{
+			a := env.p.Syscall(env.e, "mmap", 0, 4096, linux.PROT_READ|linux.PROT_WRITE, linux.MAP_ANONYMOUS|linux.MAP_PRIVATE, -1, 0)
+			t0 := time.Now()
+			for i := 0; i < n; i++ {
+				env.p.Syscall(env.e, "munmap", a, 4096)
+			}
+			unmapCost = time.Since(t0) / time.Duration(n)
+		}
+		t0 := time.Now()
+		for i := 0; i < n; i++ {
+			a := env.p.Syscall(env.e, "mmap", 0, 4096, linux.PROT_READ|linux.PROT_WRITE, linux.MAP_ANONYMOUS|linux.MAP_PRIVATE, -1, 0)
+			env.p.Syscall(env.e, "munmap", a, 4096)
+		}
+		per := time.Since(t0) / time.Duration(n)
+		if per > unmapCost {
+			per -= unmapCost
+		}
+		return per
+	default:
+		env := newTable2Env()
+		args := table2Args(name)
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			env.p.Syscall(env.e, name, args...)
+		}
+		return time.Since(start) / time.Duration(iters)
+	}
 }
 
 func min(a, b int) int {

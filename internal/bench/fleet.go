@@ -382,7 +382,11 @@ func FleetOnce(cfg FleetConfig) FleetRow {
 	time.Sleep(cfg.Window)
 
 	// Snapshot the counters while the fleet is still live, then kill it.
-	var sysMin, sysMax uint64
+	var sysMin, sysMax, total uint64
+	for _, p := range all {
+		_, n := w.SyscallStats(p.KP.PID)
+		total += n
+	}
 	for i, p := range syscallers {
 		_, n := w.SyscallStats(p.KP.PID)
 		if i == 0 || n < sysMin {
@@ -392,7 +396,6 @@ func FleetOnce(cfg FleetConfig) FleetRow {
 			sysMax = n
 		}
 	}
-	_, total := w.SyscallStatsTotal()
 	elapsed := time.Since(start)
 
 	for _, p := range all {

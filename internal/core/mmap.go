@@ -113,15 +113,17 @@ func (p *MmapPool) zeroBelow(addr, ln uint32, old uint64) {
 	}
 }
 
-// findGap locates a free range of length ln (first fit above base).
+// findGap locates a free range of length ln (first fit at or above the
+// program break: the brk heap [base, brk) is live memory no mapping may
+// land in).
 func (p *MmapPool) findGap(ln uint32) (uint32, linux.Errno) {
 	if p.Bump {
-		addr := p.bumpTop
-		p.bumpTop += ln
+		addr := max(p.bumpTop, p.brk)
+		p.bumpTop = addr + ln
 		return addr, 0
 	}
 	sort.Slice(p.regions, func(i, j int) bool { return p.regions[i].Addr < p.regions[j].Addr })
-	cand := p.base
+	cand := p.brk
 	for _, r := range p.regions {
 		if r.Addr >= cand+ln {
 			break

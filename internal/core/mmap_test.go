@@ -192,6 +192,33 @@ func TestPoolBrk(t *testing.T) {
 	}
 }
 
+// TestPoolMapAvoidsBrkHeap: anonymous mappings land at or above the
+// program break on both allocators, and a break that would grow into a
+// mapping stays where it is.
+func TestPoolMapAvoidsBrkHeap(t *testing.T) {
+	for _, bump := range []bool{false, true} {
+		p, _ := testPool(t)
+		p.Bump = bump
+		base := p.Brk(0)
+		brk := p.Brk(base + 3*MapGranularity)
+		if brk != base+3*MapGranularity {
+			t.Fatalf("bump=%v: brk = %#x, want %#x", bump, brk, base+3*MapGranularity)
+		}
+		for i := 0; i < 3; i++ {
+			a, errno := p.Map(0, MapGranularity, linux.PROT_READ|linux.PROT_WRITE, linux.MAP_ANONYMOUS|linux.MAP_PRIVATE, nil, 0)
+			if errno != 0 {
+				t.Fatalf("bump=%v: map: %v", bump, errno)
+			}
+			if a < brk && base < a+MapGranularity {
+				t.Fatalf("bump=%v: mapping [%#x,%#x) overlaps the brk heap [%#x,%#x)", bump, a, a+MapGranularity, base, brk)
+			}
+		}
+		if got := p.Brk(brk + 2*MapGranularity); got != brk {
+			t.Fatalf("bump=%v: brk grew into a mapping: %#x, want the old break %#x", bump, got, brk)
+		}
+	}
+}
+
 // TestPoolNonOverlapProperty: random map/unmap sequences never produce
 // overlapping regions, and every region stays within memory bounds.
 func TestPoolNonOverlapProperty(t *testing.T) {

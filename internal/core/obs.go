@@ -7,13 +7,14 @@ import (
 	"gowali/internal/obs"
 )
 
-// Observability plumbing for the syscall dispatch path. Both dispatch
-// sites (the host-function closure in registry.go and Process.Syscall)
-// funnel through these helpers so the tracer, the metrics registry and
-// the strace writer see identical streams. The disabled fast path is
-// the contract that matters: with no tracer/registry/strace attached,
-// straceEntry is one nil check and observeSyscall is two nil/atomic
-// checks — serving numbers must not move.
+// Observability plumbing for the syscall dispatch path. The one
+// dispatch function (Process.dispatch in wali.go), which guest imports
+// and layered APIs both cross, calls these helpers, so the tracer, the
+// metrics registry and the strace writer see every syscall once. The
+// disabled fast path is the contract that matters: with no
+// tracer/registry/strace attached, straceEntry is one nil check and
+// observeSyscall is two nil/atomic checks — serving numbers must not
+// move.
 
 // observeSyscall records one completed syscall into the tracer and the
 // per-syscall latency histogram.

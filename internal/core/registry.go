@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
+	"strings"
 	"sync"
 
 	"gowali/internal/interp"
@@ -26,6 +28,11 @@ type SyscallDef struct {
 	Stateful    bool
 	Passthrough bool
 	Fn          HandlerFn
+
+	// host is the guest-import entry, built once by def: it converts
+	// the raw arguments and crosses dispatch. It finds its process (and
+	// engine) through fromExec, so one function serves every engine.
+	host func(e *interp.Exec, args []uint64) []uint64
 }
 
 var le = binary.LittleEndian
@@ -53,9 +60,17 @@ func ret64(n int64, errno linux.Errno) int64 {
 var registry = map[string]*SyscallDef{}
 
 func def(name string, nargs int, stateful, passthrough bool, fn HandlerFn) {
-	registry[name] = &SyscallDef{
+	d := &SyscallDef{
 		Name: name, NArgs: nargs, Stateful: stateful, Passthrough: passthrough, Fn: fn,
 	}
+	d.host = func(e *interp.Exec, args []uint64) []uint64 {
+		iargs := make([]int64, len(args))
+		for i, a := range args {
+			iargs[i] = int64(a)
+		}
+		return []uint64{uint64(fromExec(e).dispatch(e, d, iargs))}
+	}
+	registry[name] = d
 }
 
 // Registry exposes the syscall table (read-only by convention).
@@ -86,145 +101,107 @@ func i64s(n int) []wasm.ValType {
 	return out
 }
 
-// unionSet is the name-bound WALI syscall set (isa.Union) as a lookup
-// table, built once: every spawn and execve links against it, and it
-// never changes. Read-only after construction.
-var unionSet = sync.OnceValue(func() map[string]bool {
-	known := make(map[string]bool)
-	for _, s := range isa.Union() {
-		known[s] = true
+// i64x6 backs the i64 parameter and result lists of every WALI import
+// signature (no syscall takes more than six arguments); resolved
+// signatures slice it instead of allocating.
+var i64x6 = [6]wasm.ValType{wasm.I64, wasm.I64, wasm.I64, wasm.I64, wasm.I64, wasm.I64}
+
+// unionNames is the name-bound WALI syscall set (isa.Union, sorted),
+// built once: a known name WALI does not implement still links.
+var unionNames = sync.OnceValue(isa.Union)
+
+// argvEnv holds the §3.4 external-parameter methods by import name.
+var argvEnv = argvEnvFuncs()
+
+// resolveImport resolves a "wali" import from tables built once per
+// program — the registry's per-syscall host functions, argvEnv and
+// unionNames — so linking a process builds no host functions. It is the
+// Fallback of every WALI linker (see WALI.linker); Instantiate checks
+// the returned signature against the import's. A known Linux syscall
+// WALI does not implement links at whatever parameters the import
+// declares and returns -ENOSYS, or traps under Strict (§3.5:
+// implementations may trap when they cannot faithfully attempt a call).
+func resolveImport(module, name string, ft wasm.FuncType) (interp.HostFunc, bool) {
+	if module != Namespace {
+		return interp.HostFunc{}, false
 	}
-	return known
-})
-
-// RegisterHost installs every WALI host function into the linker: the
-// syscall surface plus the §3.4 external-parameter methods. Unknown names
-// that are valid Linux syscalls on some ISA resolve to -ENOSYS stubs (or
-// traps under Strict), so the import section always links.
-func (w *WALI) RegisterHost(l *interp.Linker) {
-	res := []wasm.ValType{wasm.I64}
-	for name, d := range registry {
-		d := d
-		l.DefineFunc(Namespace, "SYS_"+name, i64s(d.NArgs), res,
-			func(e *interp.Exec, args []uint64) []uint64 {
-				p := fromExec(e)
-				iargs := make([]int64, len(args))
-				for i, a := range args {
-					iargs[i] = int64(a)
-				}
-				entry := p.straceEntry(d.Name, iargs)
-				start := sinceEpoch()
-				var ret int64
-				// Record through panics too: exit/execve unwind the
-				// interpreter, but Fig. 2 profiles must still see them.
-				defer func() {
-					dur := sinceEpoch() - start
-					p.stats.add(dur)
-					w.emitSyscall(p.KP.PID, d.Name, dur, ret)
-					w.observeSyscall(p.KP.PID, d.Name, dur, ret)
-					p.straceExit(entry, ret, dur)
-				}()
-				ret = d.Fn(p, e, iargs)
-				// Linux delivers pending signals on the return to
-				// userspace; without this, a fatal signal that
-				// interrupted the syscall (EINTR) could be outrun by
-				// straight-line guest code — close/exit with no
-				// safepoint back-edge — and the kill status lost.
-				// Only dispositions that terminate are acted on here;
-				// handler-backed signals stay queued for the next
-				// safepoint, which may reenter Wasm safely.
-				if sig, fatal := p.KP.PendingFatal(); fatal {
-					panic(&interp.Exit{Status: 128 + sig})
-				}
-				return []uint64{uint64(ret)}
-			})
+	sys, ok := strings.CutPrefix(name, "SYS_")
+	if !ok {
+		hf, ok := argvEnv[name]
+		return hf, ok
 	}
-
-	w.registerArgvEnv(l)
-
-	known := unionSet()
-	l.Fallback = func(module, name string, ft wasm.FuncType) (interp.HostFunc, bool) {
-		if module != Namespace || len(name) < 5 || name[:4] != "SYS_" {
-			return interp.HostFunc{}, false
+	i64 := i64x6[:1:1]
+	if d, ok := registry[sys]; ok {
+		return interp.HostFunc{Type: wasm.FuncType{Params: i64x6[:d.NArgs:d.NArgs], Results: i64}, Fn: d.host}, true
+	}
+	if _, ok := slices.BinarySearch(unionNames(), sys); !ok {
+		return interp.HostFunc{}, false
+	}
+	return interp.HostFunc{Type: wasm.FuncType{Params: ft.Params, Results: i64}, Fn: func(e *interp.Exec, args []uint64) []uint64 {
+		if fromExec(e).W.Strict {
+			interp.Throw(interp.TrapHost, "wali: syscall %s not supported on this platform", sys)
 		}
-		sys := name[4:]
-		if !known[sys] {
-			return interp.HostFunc{}, false
-		}
-		return interp.HostFunc{Type: ft, Fn: func(e *interp.Exec, args []uint64) []uint64 {
-			if w.Strict {
-				interp.Throw(interp.TrapHost, "wali: syscall %s not supported on this platform", sys)
-			}
-			out := make([]uint64, len(ft.Results))
-			if len(out) > 0 {
-				out[0] = uint64(errnoRet(linux.ENOSYS))
-			}
-			return out
-		}}, true
-	}
+		return []uint64{uint64(errnoRet(linux.ENOSYS))}
+	}}, true
 }
 
-// registerArgvEnv installs the §3.4 support methods: the standard library
-// owns the argument/environment buffers; the engine only copies into the
-// sandbox on request, so parser overflows stay contained.
-func (w *WALI) registerArgvEnv(l *interp.Linker) {
+// linker returns the import resolver for one instantiation: the shared
+// WALI tables plus whatever ExtendLinker installs.
+func (w *WALI) linker() *interp.Linker {
+	l := interp.NewLinker()
+	l.Fallback = resolveImport
+	if w.ExtendLinker != nil {
+		w.ExtendLinker(l)
+	}
+	return l
+}
+
+// argvEnvFuncs returns the §3.4 support methods: the standard library
+// owns the argument/environment buffers; the engine only copies into
+// the sandbox on request, so parser overflows stay contained.
+func argvEnvFuncs() map[string]interp.HostFunc {
 	i32 := []wasm.ValType{wasm.I32}
 	i32i32 := []wasm.ValType{wasm.I32, wasm.I32}
-
-	l.DefineFunc(Namespace, "get_argc", nil, i32, func(e *interp.Exec, a []uint64) []uint64 {
-		return []uint64{uint64(uint32(len(fromExec(e).argv)))}
-	})
-	l.DefineFunc(Namespace, "get_argv_len", i32, i32, func(e *interp.Exec, a []uint64) []uint64 {
-		p := fromExec(e)
-		i := int(uint32(a[0]))
-		if i < 0 || i >= len(p.argv) {
-			return []uint64{0}
-		}
-		return []uint64{uint64(uint32(len(p.argv[i]) + 1))}
-	})
-	l.DefineFunc(Namespace, "copy_argv", i32i32, i32, func(e *interp.Exec, a []uint64) []uint64 {
-		p := fromExec(e)
-		buf := uint32(a[0])
-		i := int(uint32(a[1]))
-		if i < 0 || i >= len(p.argv) {
-			return []uint64{0xFFFFFFFF}
-		}
-		s := p.argv[i]
-		mem, ok := p.Inst.Mem.Bytes(buf, uint32(len(s)+1))
-		if !ok {
-			return []uint64{0xFFFFFFFF}
-		}
-		copy(mem, s)
-		mem[len(s)] = 0
-		return []uint64{uint64(uint32(len(s) + 1))}
-	})
-	l.DefineFunc(Namespace, "get_envc", nil, i32, func(e *interp.Exec, a []uint64) []uint64 {
-		return []uint64{uint64(uint32(len(fromExec(e).env)))}
-	})
-	l.DefineFunc(Namespace, "get_env_len", i32, i32, func(e *interp.Exec, a []uint64) []uint64 {
-		p := fromExec(e)
-		i := int(uint32(a[0]))
-		if i < 0 || i >= len(p.env) {
-			return []uint64{0}
-		}
-		return []uint64{uint64(uint32(len(p.env[i]) + 1))}
-	})
-	l.DefineFunc(Namespace, "copy_env", i32i32, i32, func(e *interp.Exec, a []uint64) []uint64 {
-		p := fromExec(e)
-		buf := uint32(a[0])
-		i := int(uint32(a[1]))
-		if i < 0 || i >= len(p.env) {
-			return []uint64{0xFFFFFFFF}
-		}
-		s := p.env[i]
-		mem, ok := p.Inst.Mem.Bytes(buf, uint32(len(s)+1))
-		if !ok {
-			return []uint64{0xFFFFFFFF}
-		}
-		copy(mem, s)
-		mem[len(s)] = 0
-		return []uint64{uint64(uint32(len(s) + 1))}
-	})
+	count := func(vec func(*Process) []string) interp.HostFunc {
+		return interp.HostFunc{Type: wasm.FuncType{Results: i32}, Fn: func(e *interp.Exec, a []uint64) []uint64 {
+			return []uint64{uint64(uint32(len(vec(fromExec(e)))))}
+		}}
+	}
+	length := func(vec func(*Process) []string) interp.HostFunc {
+		return interp.HostFunc{Type: wasm.FuncType{Params: i32, Results: i32}, Fn: func(e *interp.Exec, a []uint64) []uint64 {
+			v := vec(fromExec(e))
+			i := int(uint32(a[0]))
+			if i < 0 || i >= len(v) {
+				return []uint64{0}
+			}
+			return []uint64{uint64(uint32(len(v[i]) + 1))}
+		}}
+	}
+	copyOut := func(vec func(*Process) []string) interp.HostFunc {
+		return interp.HostFunc{Type: wasm.FuncType{Params: i32i32, Results: i32}, Fn: func(e *interp.Exec, a []uint64) []uint64 {
+			p := fromExec(e)
+			v := vec(p)
+			buf := uint32(a[0])
+			i := int(uint32(a[1]))
+			if i < 0 || i >= len(v) {
+				return []uint64{0xFFFFFFFF}
+			}
+			s := v[i]
+			mem, ok := p.Inst.Mem.Bytes(buf, uint32(len(s)+1))
+			if !ok {
+				return []uint64{0xFFFFFFFF}
+			}
+			copy(mem, s)
+			mem[len(s)] = 0
+			return []uint64{uint64(uint32(len(s) + 1))}
+		}}
+	}
+	argv := func(p *Process) []string { return p.argv }
+	env := func(p *Process) []string { return p.env }
+	return map[string]interp.HostFunc{
+		"get_argc": count(argv), "get_argv_len": length(argv), "copy_argv": copyOut(argv),
+		"get_envc": count(env), "get_env_len": length(env), "copy_env": copyOut(env),
+	}
 }
 
 // ImportSyscall is the toolchain-side helper: it declares the WALI import

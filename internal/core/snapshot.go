@@ -190,12 +190,7 @@ func (w *WALI) snapModuleFor(img *snap.Image) (*snapModule, error) {
 	if c.Hash() != img.Hash {
 		return nil, fmt.Errorf("wali: restore: module bytes do not match image hash")
 	}
-	linker := interp.NewLinker()
-	w.RegisterHost(linker)
-	if w.ExtendLinker != nil {
-		w.ExtendLinker(linker)
-	}
-	proto, err := c.Instantiate(linker)
+	proto, err := c.Instantiate(w.linker())
 	if err != nil {
 		return nil, fmt.Errorf("wali: restore: %w", err)
 	}

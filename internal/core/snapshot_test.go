@@ -404,7 +404,7 @@ func testSnapshotGoldenTwin(t *testing.T, tierOrig, tierRestored interp.ExecTier
 	w1 := New()
 	w1.Tier = tierOrig
 	rec1 := &traceRec{}
-	w1.AddHook(rec1.hook)
+	w1.Hook = rec1.hook
 	p := spawnWarm(t, w1, buildGoldenGuest(), "golden")
 	img, err := w1.Snapshot(p)
 	if err != nil {
@@ -421,7 +421,7 @@ func testSnapshotGoldenTwin(t *testing.T, tierOrig, tierRestored interp.ExecTier
 	w2 := New()
 	w2.Tier = tierRestored
 	rec2 := &traceRec{}
-	w2.AddHook(rec2.hook)
+	w2.Hook = rec2.hook
 	ch, err := w2.Restore(img2, nil)
 	if err != nil {
 		t.Fatalf("restore on fresh engine: %v", err)

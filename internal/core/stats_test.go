@@ -1,11 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"gowali/internal/interp"
+	"gowali/internal/linux"
 )
 
 // statApp builds a minimal module issuing n getpid calls.
@@ -29,84 +29,55 @@ func statApp(t *testing.T, n int) *interp.Compiled {
 	return c
 }
 
-// TestSyscallStatsRetainedAfterExit: per-PID stats come from the
-// process's own counters while it lives and stay queryable (bounded
-// window) right after it exits — the Fig. 7 read pattern.
-func TestSyscallStatsRetainedAfterExit(t *testing.T) {
+// TestSyscallStatsLive: per-PID stats come from the process's own
+// counters while it lives — the Fig. 7 read pattern — and a finished
+// process leaves nothing behind in the engine.
+func TestSyscallStatsLive(t *testing.T) {
+	b := newApp("getpid", "pause")
+	f := b.NewFunc(StartExport, nil, nil)
+	for i := 0; i < 7; i++ {
+		b.call(f, "getpid")
+		f.Drop()
+	}
+	b.call(f, "pause")
+	f.Drop()
+	f.Finish()
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := New()
-	c := statApp(t, 7)
-	p, err := w.SpawnCompiled(c, "stats", nil, nil)
+	// Hook runs after the counters are bumped, so once it has seen the
+	// seventh getpid the guest is blocked in pause with n == 7.
+	seen := make(chan struct{})
+	var getpids atomic.Int32
+	w.Hook = func(ev SyscallEvent) {
+		if ev.Name == "getpid" && getpids.Add(1) == 7 {
+			close(seen)
+		}
+	}
+	p, err := w.SpawnModule(m, "stats", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pid := p.KP.PID
-	if status, err := p.Run(); err != nil || status != 0 {
-		t.Fatalf("run: status=%d err=%v", status, err)
-	}
+	p.RunAsync()
+	<-seen
 	if d, n := w.SyscallStats(pid); n != 7 || d <= 0 {
-		t.Fatalf("stats after exit: n=%d d=%v", n, d)
+		t.Fatalf("live stats: n=%d d=%v", n, d)
 	}
-	if d, n := w.SyscallStatsTotal(); n != 7 || d <= 0 {
-		t.Fatalf("total: n=%d d=%v", n, d)
+	p.KP.PostSignal(linux.SIGKILL)
+	if status, _ := p.Wait(); status != 128+linux.SIGKILL {
+		t.Fatalf("status %d, want %d", status, 128+linux.SIGKILL)
 	}
-}
-
-// TestSyscallStatsEviction is the regression test for the per-PID stats
-// leak: the engine once kept a map entry for every PID ever seen, so
-// spawn storms grew it without bound. Retired stats are now a bounded
-// FIFO window.
-func TestSyscallStatsEviction(t *testing.T) {
-	w := New()
-	c := statApp(t, 1)
-	spawn := retainedStatsMax + 50
-	var first int32
-	for i := 0; i < spawn; i++ {
-		p, err := w.SpawnCompiled(c, fmt.Sprintf("s%d", i), nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = p.KP.PID
-		}
-		if status, err := p.Run(); err != nil || status != 0 {
-			t.Fatalf("run %d: status=%d err=%v", i, status, err)
-		}
-	}
-	w.retMu.Lock()
-	retained, order := len(w.retained), len(w.retOrder)
-	w.retMu.Unlock()
-	if retained > retainedStatsMax || order > retainedStatsMax {
-		t.Fatalf("retained stats grew past the bound: map=%d order=%d max=%d",
-			retained, order, retainedStatsMax)
-	}
-	if _, n := w.SyscallStats(first); n != 0 {
-		t.Fatalf("oldest pid %d should have been evicted, still has n=%d", first, n)
+	w.WaitAll()
+	if d, n := w.SyscallStats(pid); n != 0 || d != 0 {
+		t.Fatalf("finished process still reports n=%d d=%v", n, d)
 	}
 	w.mu.Lock()
 	live := len(w.procs)
 	w.mu.Unlock()
 	if live != 0 {
 		t.Fatalf("%d processes leaked in the live table", live)
-	}
-}
-
-// TestAddHookFanout: multiple subscribers all observe events; the legacy
-// Hook field keeps working alongside.
-func TestAddHookFanout(t *testing.T) {
-	w := New()
-	var a, b, legacy atomic.Uint64
-	w.Hook = func(ev SyscallEvent) { legacy.Add(1) }
-	w.AddHook(func(ev SyscallEvent) { a.Add(1) })
-	w.AddHook(func(ev SyscallEvent) { b.Add(1) })
-	c := statApp(t, 5)
-	p, err := w.SpawnCompiled(c, "fanout", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status, err := p.Run(); err != nil || status != 0 {
-		t.Fatalf("run: status=%d err=%v", status, err)
-	}
-	if a.Load() != 5 || b.Load() != 5 || legacy.Load() != 5 {
-		t.Fatalf("fanout counts: a=%d b=%d legacy=%d", a.Load(), b.Load(), legacy.Load())
 	}
 }

@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gowali/internal/interp"
@@ -60,9 +59,12 @@ type WALI struct {
 	// are single-guest, so the collector is not synchronized.
 	Ops *interp.OpStats
 
-	// Hook, if non-nil, observes every syscall (Fig. 2 profiles and
-	// Fig. 7 attribution are built on it). Called after the syscall
-	// completes; must be safe for concurrent use.
+	// Hook, if non-nil, observes every syscall, whether a guest import
+	// or a layered API's Process.Syscall issued it (Fig. 2 profiles and
+	// Fig. 7 attribution are built on it). It is the one subscriber:
+	// set it before spawning. Called after the syscall completes, also
+	// when the call unwinds the guest (exit, execve); must be safe for
+	// concurrent use.
 	Hook func(ev SyscallEvent)
 
 	// Strict makes unimplemented-but-known syscall names trap instead of
@@ -110,17 +112,6 @@ type WALI struct {
 	// cache the embedding facade exposes as gowali.Module).
 	modMu    sync.Mutex
 	modCache map[*vfs.Inode]modCacheEnt
-
-	// hooks are AddHook subscribers; copy-on-write behind an atomic
-	// pointer so the per-syscall dispatch is lock-free (see stats.go).
-	hooksMu sync.Mutex
-	hooks   atomic.Pointer[[]func(SyscallEvent)]
-
-	// retained is the bounded window of recently-exited processes'
-	// syscall totals; live accounting is per-Process (see stats.go).
-	retMu    sync.Mutex
-	retained map[int32]statTotals
-	retOrder []int32
 
 	// snapMods caches restore material by module content hash: the
 	// compiled translation plus a prototype instance whose resolved
@@ -329,12 +320,7 @@ func (w *WALI) newProcess(kp *kernel.Process, c *interp.Compiled, argv, env []st
 		Sig:      NewSigtable(),
 		done:     make(chan struct{}),
 	}
-	linker := interp.NewLinker()
-	w.RegisterHost(linker)
-	if w.ExtendLinker != nil {
-		w.ExtendLinker(linker)
-	}
-	inst, err := c.Instantiate(linker)
+	inst, err := c.Instantiate(w.linker())
 	if err != nil {
 		return nil, err
 	}
@@ -464,12 +450,7 @@ func (p *Process) doExec() error {
 		return err
 	}
 	p.KP.Exec(req.argv[0], req.argv, req.envp)
-	linker := interp.NewLinker()
-	p.W.RegisterHost(linker)
-	if p.W.ExtendLinker != nil {
-		p.W.ExtendLinker(linker)
-	}
-	inst, err := c.Instantiate(linker)
+	inst, err := c.Instantiate(p.W.linker())
 	if err != nil {
 		return err
 	}
@@ -691,26 +672,53 @@ func (p *Process) spawnThread(fnTableIdx, arg, ctid uint32, flags int64) (int32,
 func ProcessFromExec(e *interp.Exec) *Process { return fromExec(e) }
 
 // Syscall invokes a WALI syscall by name on behalf of a layered API,
-// exactly as a Wasm module import call would (same dispatch, same
-// accounting, same return convention). Unknown names return -ENOSYS.
+// exactly as a Wasm module import call would: it crosses the same
+// dispatch, so accounting, observers, the return convention and
+// fatal-signal delivery are identical. Unknown names return -ENOSYS.
 func (p *Process) Syscall(e *interp.Exec, name string, args ...int64) int64 {
 	d, ok := registry[name]
 	if !ok {
 		return errnoRet(linux.ENOSYS)
 	}
-	full := make([]int64, d.NArgs)
-	copy(full, args)
-	entry := p.straceEntry(name, full)
+	if len(args) != d.NArgs {
+		full := make([]int64, d.NArgs)
+		copy(full, args)
+		args = full
+	}
+	return p.dispatch(e, d, args)
+}
+
+// dispatch is the WALI syscall boundary: guest imports
+// (SyscallDef.host) and layered APIs (Syscall) both cross it, so
+// Table 2 and the dispatch calibration time the code guests run. In
+// order: the strace entry is decoded, the clock starts, the handler
+// runs, and then — through a deferred record, so exit and execve, which
+// unwind the interpreter, are still seen — the process counters, Hook,
+// the tracer and latency histogram, and the strace exit line. A fatal
+// signal left pending by the handler then unwinds the guest.
+func (p *Process) dispatch(e *interp.Exec, d *SyscallDef, args []int64) (ret int64) {
+	w := p.W
+	entry := p.straceEntry(d.Name, args)
 	start := sinceEpoch()
-	var ret int64
 	defer func() {
 		dur := sinceEpoch() - start
 		p.stats.add(dur)
-		p.W.emitSyscall(p.KP.PID, name, dur, ret)
-		p.W.observeSyscall(p.KP.PID, name, dur, ret)
+		if w.Hook != nil {
+			w.Hook(SyscallEvent{PID: p.KP.PID, Name: d.Name, Duration: dur, Ret: ret})
+		}
+		w.observeSyscall(p.KP.PID, d.Name, dur, ret)
 		p.straceExit(entry, ret, dur)
 	}()
-	ret = d.Fn(p, e, full)
+	ret = d.Fn(p, e, args)
+	// Linux delivers pending signals on the return to userspace;
+	// without this, a fatal signal that interrupted the syscall (EINTR)
+	// could be outrun by straight-line guest code — close/exit with no
+	// safepoint back-edge — and the kill status lost. Only dispositions
+	// that terminate are acted on here; handler-backed signals stay
+	// queued for the next safepoint, which may reenter Wasm safely.
+	if sig, fatal := p.KP.PendingFatal(); fatal {
+		panic(&interp.Exit{Status: 128 + sig})
+	}
 	return ret
 }
 

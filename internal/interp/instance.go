@@ -18,30 +18,31 @@ type HostFunc struct {
 	Fn   func(e *Exec, args []uint64) []uint64
 }
 
-// Linker resolves module imports at instantiation.
+// Linker resolves module imports at instantiation. The zero value is
+// empty and usable; its tables are made on first definition, so a
+// linker that only carries a Fallback costs one allocation.
 type Linker struct {
 	funcs   map[string]HostFunc
 	mems    map[string]*Memory
 	globals map[string]uint64
-	// Fallback, if non-nil, is consulted for unknown function imports and
-	// may synthesize a host function (WALI uses this to trap "known name,
-	// unimplemented on this platform" calls distinctly from link errors).
+	// Fallback, if non-nil, is consulted for function imports the
+	// linker's own definitions do not cover, and may supply a host
+	// function from a table it owns (WALI resolves its whole import
+	// namespace this way, WAZI traps "known name, unimplemented on this
+	// platform" calls distinctly from link errors).
 	Fallback func(module, name string, t wasm.FuncType) (HostFunc, bool)
 }
 
 // NewLinker returns an empty linker.
-func NewLinker() *Linker {
-	return &Linker{
-		funcs:   make(map[string]HostFunc),
-		mems:    make(map[string]*Memory),
-		globals: make(map[string]uint64),
-	}
-}
+func NewLinker() *Linker { return &Linker{} }
 
 func linkKey(module, name string) string { return module + "\x00" + name }
 
 // DefineFunc registers a host function for import resolution.
 func (l *Linker) DefineFunc(module, name string, params, results []wasm.ValType, fn func(e *Exec, args []uint64) []uint64) {
+	if l.funcs == nil {
+		l.funcs = make(map[string]HostFunc)
+	}
 	l.funcs[linkKey(module, name)] = HostFunc{
 		Type: wasm.FuncType{Params: params, Results: results},
 		Fn:   fn,
@@ -51,16 +52,19 @@ func (l *Linker) DefineFunc(module, name string, params, results []wasm.ValType,
 // DefineMemory registers a memory for import resolution (thread spawn
 // shares the parent memory this way).
 func (l *Linker) DefineMemory(module, name string, m *Memory) {
+	if l.mems == nil {
+		l.mems = make(map[string]*Memory)
+	}
 	l.mems[linkKey(module, name)] = m
 }
 
 // DefineGlobal registers an immutable global import value (raw bits).
 func (l *Linker) DefineGlobal(module, name string, v uint64) {
+	if l.globals == nil {
+		l.globals = make(map[string]uint64)
+	}
 	l.globals[linkKey(module, name)] = v
 }
-
-// Funcs returns the number of registered host functions.
-func (l *Linker) Funcs() int { return len(l.funcs) }
 
 // funcKind discriminates resolved functions.
 type funcKind byte

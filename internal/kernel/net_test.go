@@ -225,6 +225,61 @@ func TestPollSignalInterrupt(t *testing.T) {
 	}
 }
 
+// TestPollOnlyEpollFD: an epoll fd polled as a file is never ready and
+// has no wait queues. A poll or epoll_wait whose only target is one
+// waits like any other not-ready set: it times out with 0, or returns
+// EINTR once a signal is posted.
+func TestPollOnlyEpollFD(t *testing.T) {
+	waits := []struct {
+		name string
+		wait func(p *Process, fd int32, timeoutNs int64) (int, linux.Errno)
+	}{
+		{"poll", func(p *Process, fd int32, timeoutNs int64) (int, linux.Errno) {
+			return p.Poll([]PollFD{{FD: fd, Events: linux.POLLIN}}, timeoutNs)
+		}},
+		{"epoll_wait", func(p *Process, fd int32, timeoutNs int64) (int, linux.Errno) {
+			outer, _ := p.EpollCreate(0)
+			if errno := p.EpollCtl(outer, linux.EPOLL_CTL_ADD, fd, linux.EPOLLIN, 1); errno != 0 {
+				return -1, errno
+			}
+			evs, errno := p.EpollWait(outer, 8, timeoutNs)
+			return len(evs), errno
+		}},
+	}
+	for _, c := range waits {
+		t.Run(c.name, func(t *testing.T) {
+			_, p := newTestProc(t)
+			epfd, _ := p.EpollCreate(0)
+			const timeout = 5 * time.Millisecond
+			start := time.Now()
+			if n, errno := c.wait(p, epfd, int64(timeout)); n != 0 || errno != 0 {
+				t.Fatalf("timed wait: n=%d errno=%v, want 0, 0", n, errno)
+			}
+			if waited := time.Since(start); waited < timeout {
+				t.Fatalf("timed wait returned after %v, before its %v deadline", waited, timeout)
+			}
+			done := make(chan linux.Errno, 1)
+			go func() {
+				_, errno := c.wait(p, epfd, -1)
+				done <- errno
+			}()
+			// The wait returns EINTR whether the signal lands before it
+			// blocks or after; the pause makes the blocked case the
+			// likely one.
+			time.Sleep(2 * time.Millisecond)
+			p.PostSignal(linux.SIGUSR1)
+			select {
+			case errno := <-done:
+				if errno != linux.EINTR {
+					t.Fatalf("wait: %v, want EINTR", errno)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("signal never interrupted the blocked wait")
+			}
+		})
+	}
+}
+
 // Epoll over sockets wakes event-driven too.
 func TestEpollWakesOnSocketData(t *testing.T) {
 	_, p := newTestProc(t)

@@ -13,15 +13,16 @@ import (
 // the pollWaitable interface, the waiter arms on all of them (plus
 // the signal queue, for EINTR), re-checks, and sleeps until a wakeup
 // or the deadline — so a socket or pipe becoming ready turns into a
-// poll return at wakeup cost, not at the ~100µs floor of the old
-// 25µs sampling loop. Files that cannot provide queues (none of the
-// built-in types today) degrade to the sampled loop.
-
-const pollInterval = 25 * time.Microsecond
+// poll return at wakeup cost.
 
 // pollWaitable is implemented by files with event-driven readiness:
 // PollQueues returns every wait queue whose wakeup may change the
-// file's Poll result. A file that is currently ready needs no queues.
+// file's Poll result. It is part of the file contract: a file whose
+// Poll can report not-ready must expose its queues here, because a
+// poll over files that are not ready waits only for their queues, a
+// signal or the deadline. A file that is always ready (regular files,
+// stateless devices) or never ready (an epoll fd polled as a file)
+// needs none.
 type pollWaitable interface {
 	PollQueues() []*waitq.Queue
 }
@@ -33,15 +34,14 @@ type PollFD struct {
 	Revents int16
 }
 
-// pollScan samples every fd once, filling Revents; returns the ready
-// count and whether every not-ready file can provide wait queues
-// (armed onto w when non-nil). Per fd the order is arm-then-check:
-// the waiter registers on the file's queues BEFORE sampling Poll(),
-// so a readiness edge between the two lands a wakeup instead of
-// falling into the no-waiter fast path and getting lost.
-func (p *Process) pollScan(fds []PollFD, w *waitq.Waiter, armed *[]*waitq.Queue) (int, bool) {
+// pollScan samples every fd once, filling Revents, and returns the
+// ready count; when w is non-nil it is armed on every file's wait
+// queues. Per fd the order is arm-then-check: the waiter registers on
+// the file's queues BEFORE sampling Poll(), so a readiness edge between
+// the two lands a wakeup instead of falling into the no-waiter fast
+// path and getting lost.
+func (p *Process) pollScan(fds []PollFD, w *waitq.Waiter, armed *[]*waitq.Queue) int {
 	ready := 0
-	eventable := true
 	for i := range fds {
 		fds[i].Revents = 0
 		if fds[i].FD < 0 {
@@ -53,30 +53,29 @@ func (p *Process) pollScan(fds []PollFD, w *waitq.Waiter, armed *[]*waitq.Queue)
 			ready++
 			continue
 		}
-		var qs []*waitq.Queue
-		if pw, ok := f.(pollWaitable); ok {
-			qs = pw.PollQueues()
-		}
-		if w != nil {
-			for _, q := range qs {
-				q.Add(w)
-				*armed = append(*armed, q)
-			}
-		}
+		armOn(f, w, armed)
 		ev := f.Poll()
 		mask := fds[i].Events | linux.POLLHUP | linux.POLLERR
 		if got := ev & mask; got != 0 {
 			fds[i].Revents = got
 			ready++
-			continue
-		}
-		if len(qs) == 0 {
-			// Not ready and nothing to arm on: this file forces the
-			// sampled fallback.
-			eventable = false
 		}
 	}
-	return ready, eventable
+	return ready
+}
+
+// armOn registers w (when non-nil) on f's wait queues, recording each
+// in armed for the disarm.
+func armOn(f File, w *waitq.Waiter, armed *[]*waitq.Queue) {
+	if w == nil {
+		return
+	}
+	if pw, ok := f.(pollWaitable); ok {
+		for _, q := range pw.PollQueues() {
+			q.Add(w)
+			*armed = append(*armed, q)
+		}
+	}
 }
 
 // Poll implements poll(2)/ppoll(2). timeoutNs < 0 blocks indefinitely.
@@ -99,7 +98,7 @@ func (p *Process) Poll(fds []PollFD, timeoutNs int64) (int, linux.Errno) {
 		if w != nil {
 			w.Clear()
 		}
-		ready, eventable := p.pollScan(fds, w, &armed)
+		ready := p.pollScan(fds, w, &armed)
 		if ready > 0 {
 			disarm()
 			return ready, 0
@@ -122,16 +121,6 @@ func (p *Process) Poll(fds []PollFD, timeoutNs int64) (int, linux.Errno) {
 			w = waitq.NewWaiter()
 			p.sig.pollQ.Add(w)
 			defer p.sig.pollQ.Remove(w)
-			continue
-		}
-		if !eventable {
-			// Mixed set with a queue-less file: sample. The slot is
-			// released around each sample sleep so a scheduled guest in
-			// a sampled poll does not pin a worker.
-			disarm()
-			p.BeginBlock()
-			time.Sleep(pollInterval)
-			p.EndBlock()
 			continue
 		}
 		// No locks are held here, so the slot release brackets the
@@ -302,7 +291,7 @@ type EpollEvent struct {
 // epollScan samples the interest list, arming w (when non-nil) on
 // every waitable file. As in pollScan, each file is armed BEFORE its
 // readiness sample so an edge between the two cannot be lost.
-func (p *Process) epollScan(ef *EpollFile, maxEvents int, w *waitq.Waiter, armed *[]*waitq.Queue) ([]EpollEvent, bool) {
+func (p *Process) epollScan(ef *EpollFile, maxEvents int, w *waitq.Waiter, armed *[]*waitq.Queue) []EpollEvent {
 	if w != nil {
 		// Interest-list mutations (EpollCtl) must also end the wait.
 		ef.q.Add(w)
@@ -316,34 +305,18 @@ func (p *Process) epollScan(ef *EpollFile, maxEvents int, w *waitq.Waiter, armed
 	ef.mu.Unlock()
 
 	var out []EpollEvent
-	eventable := true
 	for _, it := range items {
 		file, errno := p.FDs.Get(it.fd)
 		if errno != 0 {
 			continue
 		}
-		var qs []*waitq.Queue
-		if pw, ok := file.(pollWaitable); ok {
-			qs = pw.PollQueues()
-		}
-		if w != nil {
-			for _, q := range qs {
-				q.Add(w)
-				*armed = append(*armed, q)
-			}
-		}
+		armOn(file, w, armed)
 		ev := uint32(uint16(file.Poll()))
-		if got := ev & (it.events | linux.EPOLLHUP | linux.EPOLLERR); got != 0 {
-			if len(out) < maxEvents {
-				out = append(out, EpollEvent{Events: got, Data: it.data})
-			}
-			continue
-		}
-		if len(qs) == 0 {
-			eventable = false
+		if got := ev & (it.events | linux.EPOLLHUP | linux.EPOLLERR); got != 0 && len(out) < maxEvents {
+			out = append(out, EpollEvent{Events: got, Data: it.data})
 		}
 	}
-	return out, eventable
+	return out
 }
 
 // EpollWait implements epoll_wait (level-triggered).
@@ -372,7 +345,7 @@ func (p *Process) EpollWait(epfd int32, maxEvents int, timeoutNs int64) ([]Epoll
 		if w != nil {
 			w.Clear()
 		}
-		out, eventable := p.epollScan(ef, maxEvents, w, &armed)
+		out := p.epollScan(ef, maxEvents, w, &armed)
 		if len(out) > 0 {
 			disarm()
 			return out, 0
@@ -393,13 +366,6 @@ func (p *Process) EpollWait(epfd int32, maxEvents int, timeoutNs int64) ([]Epoll
 			w = waitq.NewWaiter()
 			p.sig.pollQ.Add(w)
 			defer p.sig.pollQ.Remove(w)
-			continue
-		}
-		if !eventable {
-			disarm()
-			p.BeginBlock()
-			time.Sleep(pollInterval)
-			p.EndBlock()
 			continue
 		}
 		p.BeginBlock()
